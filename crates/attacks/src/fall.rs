@@ -27,7 +27,7 @@ use crate::oracle::Oracle;
 use crate::report::{key_input_names, AttackOutcome, AttackRun, KeyGuess, OgOutcome, StepTiming};
 use crate::structure::{associate_keys_with_inputs, find_critical_signal};
 use kratt_locking::SecretKey;
-use kratt_netlist::analysis::support;
+use kratt_netlist::analysis::subset_support;
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::transform::extract_cone;
 use kratt_netlist::{Circuit, NetId};
@@ -93,6 +93,33 @@ impl FallReport {
     }
 }
 
+/// Stage 1 scan: the gate outputs (in gate order, at most `max`) whose
+/// fan-in support is exactly the protected inputs, read off one
+/// [`subset_support`] pass over the locked netlist.
+fn candidate_nodes(
+    locked: &Circuit,
+    ppi_names: &[String],
+    max: usize,
+) -> Result<Vec<NetId>, AttackError> {
+    let ppi_set: BTreeSet<&str> = ppi_names.iter().map(String::as_str).collect();
+    let ppi_nets: Vec<NetId> = ppi_set
+        .iter()
+        .filter_map(|name| locked.find_net(name))
+        .filter(|&net| locked.is_input(net))
+        .collect();
+    // A protected input that is not a locked input is in no support.
+    if ppi_nets.len() != ppi_set.len() {
+        return Ok(Vec::new());
+    }
+    let sets = subset_support(locked, &ppi_nets)?;
+    Ok(locked
+        .gates()
+        .map(|(_, gate)| gate.output)
+        .filter(|&net| sets.is_inside(net) && sets.support_len(net) == ppi_nets.len())
+        .take(max)
+        .collect())
+}
+
 /// Unateness of a node in one of its support variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Unateness {
@@ -153,20 +180,7 @@ impl FallAttack {
                 analyzed_nodes: 0,
             });
         };
-        let ppi_set: BTreeSet<&str> = ppi_names.iter().map(String::as_str).collect();
-        let mut candidate_nodes: Vec<NetId> = Vec::new();
-        for (_, gate) in locked.gates() {
-            if candidate_nodes.len() >= self.config.max_candidate_nodes {
-                break;
-            }
-            let sup: BTreeSet<&str> = support(locked, &[gate.output])
-                .into_iter()
-                .map(|n| locked.net_name(n))
-                .collect();
-            if sup == ppi_set {
-                candidate_nodes.push(gate.output);
-            }
-        }
+        let candidate_nodes = candidate_nodes(locked, &ppi_names, self.config.max_candidate_nodes)?;
 
         // --- Stage 2: unateness analysis. ----------------------------------
         // Each candidate keeps the protected-input pattern it came from, so
@@ -605,6 +619,43 @@ mod tests {
             report_of(&FallAttack::new(), &locked.circuit, Some(&oracle)),
             Err(AttackError::InterfaceMismatch(_))
         ));
+    }
+
+    #[test]
+    fn candidate_nodes_match_the_per_gate_support_scan() {
+        // The Stage-1 scan as it was: one `support` walk per gate, kept as
+        // the reference for the one-pass version.
+        fn per_gate_scan(locked: &Circuit, ppi_names: &[String], max: usize) -> Vec<NetId> {
+            let ppi_set: BTreeSet<&str> = ppi_names.iter().map(String::as_str).collect();
+            let mut nodes = Vec::new();
+            for (_, gate) in locked.gates() {
+                if nodes.len() >= max {
+                    break;
+                }
+                let sup: BTreeSet<&str> = kratt_netlist::analysis::support(locked, &[gate.output])
+                    .into_iter()
+                    .map(|n| locked.net_name(n))
+                    .collect();
+                if sup == ppi_set {
+                    nodes.push(gate.output);
+                }
+            }
+            nodes
+        }
+
+        let host = kratt_benchmarks::IscasCircuit::C2670.generate_scaled(0.05);
+        let secret = SecretKey::from_u64(0x9e37, 16);
+        let techniques: [&dyn LockingTechnique; 3] =
+            [&TtLock::new(16), &SfllHd::new(16, 2), &Cac::new(16)];
+        for technique in techniques {
+            let locked = technique.lock(&host, &secret).unwrap().circuit;
+            let (ppi_names, _) = FallAttack::new().protected_inputs(&locked).unwrap();
+            for max in [1, 3, 4096] {
+                let nodes = candidate_nodes(&locked, &ppi_names, max).unwrap();
+                assert!(!nodes.is_empty());
+                assert_eq!(nodes, per_gate_scan(&locked, &ppi_names, max));
+            }
+        }
     }
 
     #[test]

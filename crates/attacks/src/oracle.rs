@@ -109,6 +109,18 @@ impl Oracle {
         Ok(rows)
     }
 
+    /// The query-pattern positions of the named primary inputs, resolved
+    /// once so a caller issuing many [`Oracle::query`] calls over the same
+    /// inputs skips the per-query name lookups of [`Oracle::query_by_name`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a name is not a primary input of the oracle
+    /// circuit.
+    pub fn input_positions(&self, names: &[String]) -> Result<Vec<usize>, NetlistError> {
+        names.iter().map(|name| self.position_of(name)).collect()
+    }
+
     fn position_of(&self, name: &str) -> Result<usize, NetlistError> {
         let net: NetId = self
             .circuit
@@ -151,10 +163,7 @@ impl Oracle {
         names: &[String],
         rows: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, NetlistError> {
-        let positions: Vec<usize> = names
-            .iter()
-            .map(|name| self.position_of(name))
-            .collect::<Result<_, _>>()?;
+        let positions = self.input_positions(names)?;
         let mut patterns = Vec::with_capacity(rows.len());
         for row in rows {
             if row.len() != names.len() {

@@ -168,6 +168,154 @@ pub fn support(circuit: &Circuit, roots: &[NetId]) -> Vec<NetId> {
         .collect()
 }
 
+/// The support of every net restricted to a chosen subset of the primary
+/// inputs, plus the exact fan-in cone size of every net whose support lies
+/// inside the subset — what [`support`] and [`fanin_cone_gates`] would
+/// report per net, computed for all nets in one topological pass instead of
+/// one walk per net.
+#[derive(Debug, Clone)]
+pub struct SubsetSupport {
+    /// `u64` words per support row.
+    words: usize,
+    /// One support row per net (indexed by [`NetId::index`]): bit `i` is
+    /// set when `subset[i]` is in the net's support.
+    rows: Vec<u64>,
+    /// Per net: the number of gates in its fan-in cone when its support
+    /// lies inside the subset, `None` when it reaches any other input.
+    cone_gates: Vec<Option<u32>>,
+}
+
+/// Columns of the cone-gate bitsets handled per sweep of
+/// [`subset_support`]: bounds the sweep's scratch rows at 512 bytes per gate.
+const CONE_BLOCK_BITS: usize = 4096;
+
+impl SubsetSupport {
+    /// Whether the support of `net` lies inside the subset (it may be
+    /// empty, e.g. for a constant gate or a floating net).
+    pub fn is_inside(&self, net: NetId) -> bool {
+        self.cone_gates[net.index()].is_some()
+    }
+
+    /// Size of the support of `net` within the subset.
+    pub fn support_len(&self, net: NetId) -> usize {
+        self.row(net).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Subset positions of the support of `net`, ascending.
+    pub fn support_positions(&self, net: NetId) -> impl Iterator<Item = usize> + '_ {
+        self.row(net).iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 != 0)
+                .map(move |bit| w * 64 + bit)
+        })
+    }
+
+    /// The number of gates in the fan-in cone of `net` (as
+    /// [`fanin_cone_gates`] counts them), for nets inside the subset.
+    pub fn cone_size(&self, net: NetId) -> Option<usize> {
+        self.cone_gates[net.index()].map(|n| n as usize)
+    }
+
+    fn row(&self, net: NetId) -> &[u64] {
+        &self.rows[net.index() * self.words..(net.index() + 1) * self.words]
+    }
+}
+
+/// Computes the [`SubsetSupport`] of every net of `circuit` for the given
+/// distinct primary inputs (`subset[i]` is support bit `i`; entries that
+/// are not primary inputs never appear in a support, as in [`support`]).
+///
+/// Support rows are propagated in topological order. The cone-gate bitsets
+/// are only built over the gates whose support lies inside the subset (a
+/// cone of such a net contains no other gate), in column blocks of
+/// [`CONE_BLOCK_BITS`], so the pass is linear in the circuit for the
+/// support and `O(inside² / 64)` for the cone sizes with bounded scratch.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] if the circuit is cyclic.
+pub fn subset_support(circuit: &Circuit, subset: &[NetId]) -> Result<SubsetSupport, NetlistError> {
+    let order = topological_order(circuit)?;
+    let words = subset.len().div_ceil(64);
+    let mut rows = vec![0u64; circuit.num_nets() * words];
+    // Floating nets have an empty support and so start inside; primary
+    // inputs start outside unless they belong to the subset.
+    let mut inside = vec![true; circuit.num_nets()];
+    for &input in circuit.inputs() {
+        inside[input.index()] = false;
+    }
+    for (i, &net) in subset.iter().enumerate() {
+        if circuit.is_input(net) {
+            inside[net.index()] = true;
+            rows[net.index() * words + i / 64] |= 1 << (i % 64);
+        }
+    }
+    // Gates driving an inside net, in topological order: the rows of the
+    // cone-gate bitsets.
+    let mut inside_gates: Vec<GateId> = Vec::new();
+    let mut inside_index = vec![u32::MAX; circuit.num_gates()];
+    for gid in order {
+        let gate = circuit.gate(gid);
+        let out = gate.output.index();
+        if circuit.driver(gate.output) != Some(gid) {
+            continue;
+        }
+        let mut all_inside = true;
+        for &input in &gate.inputs {
+            all_inside &= inside[input.index()];
+            for w in 0..words {
+                let word = rows[input.index() * words + w];
+                rows[out * words + w] |= word;
+            }
+        }
+        inside[out] = all_inside;
+        if all_inside {
+            inside_index[gid.index()] = inside_gates.len() as u32;
+            inside_gates.push(gid);
+        }
+    }
+
+    let m = inside_gates.len();
+    let mut cone = vec![0u32; m];
+    for lo in (0..m).step_by(CONE_BLOCK_BITS) {
+        let hi = (lo + CONE_BLOCK_BITS).min(m);
+        let width = (hi - lo).div_ceil(64);
+        // Rows of gates `lo..m` restricted to columns `lo..hi`; gates
+        // before `lo` have no bit in this block.
+        let mut bits = vec![0u64; (m - lo) * width];
+        for i in lo..m {
+            let (done, rest) = bits.split_at_mut((i - lo) * width);
+            let row = &mut rest[..width];
+            for &input in &circuit.gate(inside_gates[i]).inputs {
+                let Some(driver) = circuit.driver(input) else {
+                    continue;
+                };
+                let j = inside_index[driver.index()] as usize;
+                if j >= lo {
+                    let fanin = &done[(j - lo) * width..(j - lo + 1) * width];
+                    for (word, &other) in row.iter_mut().zip(fanin) {
+                        *word |= other;
+                    }
+                }
+            }
+            if i < hi {
+                row[(i - lo) / 64] |= 1 << ((i - lo) % 64);
+            }
+            cone[i] += row.iter().map(|w| w.count_ones()).sum::<u32>();
+        }
+    }
+
+    let mut cone_gates: Vec<Option<u32>> = inside.iter().map(|&i| i.then_some(0)).collect();
+    for (i, gid) in inside_gates.into_iter().enumerate() {
+        cone_gates[circuit.gate(gid).output.index()] = Some(cone[i]);
+    }
+    Ok(SubsetSupport {
+        words,
+        rows,
+        cone_gates,
+    })
+}
+
 /// A map from every net to the gates that consume it.
 pub fn fanout_map(circuit: &Circuit) -> HashMap<NetId, Vec<GateId>> {
     let mut map: HashMap<NetId, Vec<GateId>> = HashMap::new();
@@ -373,6 +521,100 @@ mod tests {
             }
             other => panic!("expected a cycle error, got {other:?}"),
         }
+    }
+
+    /// A random circuit with constant-only gates and floating (undriven)
+    /// fan-ins, plus a random subset of its primary inputs.
+    fn random_circuit_with_subset(seed: u64) -> (Circuit, Vec<NetId>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new(format!("rand{seed}"));
+        let n_inputs = rng.gen_range(1..8usize);
+        let inputs: Vec<NetId> = (0..n_inputs)
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
+            .collect();
+        let mut nets = inputs.clone();
+        for f in 0..rng.gen_range(0..3usize) {
+            nets.push(c.raw_add_undriven_net(format!("float{f}")).unwrap());
+        }
+        for g in 0..rng.gen_range(1..40usize) {
+            let ty = GateType::ALL[rng.gen_range(0..GateType::ALL.len())];
+            let arity = match ty {
+                GateType::Const0 | GateType::Const1 => 0,
+                GateType::Not | GateType::Buf => 1,
+                _ => rng.gen_range(1..5usize),
+            };
+            let ins: Vec<NetId> = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            nets.push(c.add_gate(ty, format!("g{g}"), &ins).unwrap());
+        }
+        let subset = inputs.into_iter().filter(|_| rng.gen_bool(0.6)).collect();
+        (c, subset)
+    }
+
+    proptest::proptest! {
+        /// Every net's subset support and cone size equal the per-net
+        /// [`support`] and [`fanin_cone_gates`] walks.
+        #[test]
+        fn prop_subset_support_matches_per_net_walks(seed in 0u64..300) {
+            let (c, subset) = random_circuit_with_subset(seed);
+            let sets = subset_support(&c, &subset).unwrap();
+            for net in c.nets() {
+                let sup = support(&c, &[net]);
+                let inside = sup.iter().all(|n| subset.contains(n));
+                proptest::prop_assert_eq!(sets.is_inside(net), inside);
+                let positions: Vec<usize> = (0..subset.len())
+                    .filter(|&i| sup.contains(&subset[i]))
+                    .collect();
+                proptest::prop_assert_eq!(sets.support_positions(net).collect::<Vec<_>>(), positions.clone());
+                proptest::prop_assert_eq!(sets.support_len(net), positions.len());
+                let cone = inside.then(|| fanin_cone_gates(&c, &[net]).len());
+                proptest::prop_assert_eq!(sets.cone_size(net), cone);
+            }
+        }
+    }
+
+    #[test]
+    fn subset_support_cone_sizes_span_several_column_blocks() {
+        // A chain longer than one cone block: gate `i` has `i + 1` gates in
+        // its cone, and a gate fed by a non-subset input is outside.
+        let mut c = Circuit::new("chain");
+        let a = c.add_input("a").unwrap();
+        let b = c.add_input("b").unwrap();
+        let mut prev = a;
+        let mut chain = Vec::new();
+        for i in 0..CONE_BLOCK_BITS + 300 {
+            prev = c
+                .add_gate(GateType::And, format!("g{i}"), &[prev, a])
+                .unwrap();
+            chain.push(prev);
+        }
+        let mixed = c.add_gate(GateType::Or, "mixed", &[prev, b]).unwrap();
+        let sets = subset_support(&c, &[a]).unwrap();
+        for (i, &net) in chain.iter().enumerate() {
+            assert_eq!(sets.cone_size(net), Some(i + 1));
+            assert_eq!(sets.support_len(net), 1);
+        }
+        assert!(!sets.is_inside(mixed));
+        assert_eq!(sets.cone_size(mixed), None);
+        assert_eq!(sets.support_len(mixed), 1);
+    }
+
+    #[test]
+    fn subset_support_reports_a_cycle_as_a_typed_error() {
+        let mut c = Circuit::new("cyclic");
+        let a = c.add_input("a").unwrap();
+        let x = c.add_gate(GateType::And, "x", &[a, a]).unwrap();
+        let y = c.add_gate(GateType::Buf, "y", &[x]).unwrap();
+        c.mark_output(y);
+        let x_gate = c.driver(x).unwrap();
+        c.raw_set_gate_input(x_gate, 1, y);
+        assert!(matches!(
+            subset_support(&c, &[a]),
+            Err(NetlistError::CombinationalCycle(_))
+        ));
     }
 
     #[test]
