@@ -12,7 +12,7 @@
 use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{AttackBudget, AttackRun, OgOutcome, OgReport, StepTiming};
+use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
 use crate::sat_attack::{og_run, DipEngine, DipSearch, KeyExtraction};
 use kratt_locking::SecretKey;
 use kratt_netlist::Circuit;
@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct AppSatAttack {
     /// Resource budget; an exhausted budget reports `OoT` like the paper.
-    pub budget: AttackBudget,
+    pub budget: Budget,
     /// A sampling round runs after every `settle_every` DIP iterations.
     pub settle_every: usize,
     /// Number of random patterns simulated per sampling round.
@@ -38,7 +38,7 @@ pub struct AppSatAttack {
 impl Default for AppSatAttack {
     fn default() -> Self {
         AppSatAttack {
-            budget: AttackBudget::default(),
+            budget: Budget::default(),
             settle_every: 4,
             sample_patterns: 64,
             error_threshold: 0.0,
@@ -54,7 +54,7 @@ impl AppSatAttack {
     }
 
     /// AppSAT with an explicit budget and otherwise default parameters.
-    pub fn with_budget(budget: AttackBudget) -> Self {
+    pub fn with_budget(budget: Budget) -> Self {
         AppSatAttack {
             budget,
             ..Default::default()
@@ -288,10 +288,10 @@ mod tests {
         let locked = SarLock::new(9).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
         let attack = AppSatAttack {
-            budget: AttackBudget {
+            budget: Budget {
                 time_limit: Some(Duration::from_millis(1)),
                 max_iterations: 1,
-                ..AttackBudget::default()
+                ..Budget::default()
             },
             settle_every: 1000,
             ..Default::default()

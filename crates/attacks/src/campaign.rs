@@ -39,9 +39,10 @@ use crate::harness::{
 };
 use crate::journal::{cell_fingerprint, instance_fingerprint, CampaignJournal};
 use crate::registry::AttackRegistry;
-use crate::report::{key_input_names, score_guess, AttackOutcome, JsonScalar};
+use crate::report::{key_input_names, score_guess, AttackOutcome};
 use kratt_lint::{lint_locked, LintReport};
 use kratt_locking::{LockedCircuit, SchemeRegistry, SchemeSpec};
+use kratt_netlist::json::{self, Value};
 use kratt_netlist::sim::{exhaustively_equivalent, Simulator};
 use kratt_netlist::{Circuit, NetlistError};
 use rand::rngs::StdRng;
@@ -333,7 +334,7 @@ impl CampaignCell {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push('{');
-        crate::report::json_str(&mut out, "type", "cell");
+        json::write_field(&mut out, "type", "cell");
         out.push(',');
         cell_json_body(&mut out, self);
         out.push('}');
@@ -345,27 +346,26 @@ impl CampaignCell {
 /// the one shape shared by the report's `cells` array, the `--stream` rows
 /// and the journal's cell records.
 pub(crate) fn cell_json_body(out: &mut String, cell: &CampaignCell) {
-    use crate::report::{json_key, json_str};
-    json_str(out, "host", &cell.host);
+    json::write_field(out, "host", &cell.host);
     out.push(',');
-    json_str(out, "scheme", &cell.scheme);
+    json::write_field(out, "scheme", &cell.scheme);
     out.push(',');
-    json_str(out, "lint", &cell.lint);
+    json::write_field(out, "lint", &cell.lint);
     out.push(',');
-    json_str(out, "attack", &cell.attack);
+    json::write_field(out, "attack", &cell.attack);
     out.push(',');
     match cell.outcome {
-        Some(outcome) => json_str(out, "outcome", outcome),
+        Some(outcome) => json::write_field(out, "outcome", outcome),
         None => {
-            json_key(out, "outcome");
+            json::write_key(out, "outcome");
             out.push_str("null");
         }
     }
     out.push(',');
-    json_str(out, "verdict", &cell.verdict.to_string());
+    json::write_field(out, "verdict", &cell.verdict.to_string());
     if let Some(key) = &cell.key {
         out.push(',');
-        json_str(out, "key", key);
+        json::write_field(out, "key", key);
     }
     out.push_str(&format!(
         ",\"cdk\":{},\"dk\":{},\"runtime_secs\":{:.6},\"iterations\":{},\"oracle_queries\":{}",
@@ -384,17 +384,17 @@ pub(crate) fn cell_json_body(out: &mut String, cell: &CampaignCell) {
     ));
     if let Some(error) = &cell.error {
         out.push(',');
-        json_str(out, "error", error);
+        json::write_field(out, "error", error);
     }
 }
 
 /// Reconstructs a cell from the parsed key/value pairs of a journal record.
 /// Returns `None` when a required field is missing or malformed — the
 /// journal skips such records, costing one re-attack.
-pub(crate) fn cell_from_pairs(pairs: &[(String, JsonScalar)]) -> Option<CampaignCell> {
+pub(crate) fn cell_from_pairs(pairs: &[(String, Value)]) -> Option<CampaignCell> {
     let field = |name: &str| pairs.iter().find(|(key, _)| key == name).map(|(_, v)| v);
-    let text = |name: &str| field(name).and_then(JsonScalar::as_str).map(str::to_string);
-    let num = |name: &str| field(name).and_then(JsonScalar::as_f64);
+    let text = |name: &str| field(name).and_then(Value::as_str).map(str::to_string);
+    let num = |name: &str| field(name).and_then(Value::as_f64);
     let duration = |name: &str| match num(name) {
         Some(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
         _ => Duration::ZERO,
@@ -405,7 +405,7 @@ pub(crate) fn cell_from_pairs(pairs: &[(String, JsonScalar)]) -> Option<Campaign
         lint: text("lint")?,
         attack: text("attack")?,
         outcome: field("outcome")
-            .and_then(JsonScalar::as_str)
+            .and_then(Value::as_str)
             .and_then(outcome_tag),
         verdict: verdict_tag(&text("verdict")?)?,
         key: text("key"),
@@ -418,7 +418,7 @@ pub(crate) fn cell_from_pairs(pairs: &[(String, JsonScalar)]) -> Option<Campaign
         telemetry: JobTelemetry {
             worker: num("worker").unwrap_or(0.0) as usize,
             queue_wait: duration("queue_wait_secs"),
-            stolen: matches!(field("stolen"), Some(JsonScalar::Bool(true))),
+            stolen: matches!(field("stolen"), Some(Value::Bool(true))),
         },
         replayed: false,
     })
@@ -565,7 +565,7 @@ impl CampaignReport {
     pub fn summary_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push('{');
-        crate::report::json_str(&mut out, "type", "summary");
+        json::write_field(&mut out, "type", "summary");
         out.push_str(&format!(
             ",\"cells\":{},\"locked_instances\":{},\"unverified_exact_claims\":{},\"replayed\":{},\"attacked\":{},\"interrupted\":{},\"steals\":{},\"workers\":{},\"makespan_secs\":{:.6}",
             self.cells.len(),

@@ -20,7 +20,7 @@
 use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{AttackBudget, AttackRun, OgOutcome, OgReport, StepTiming};
+use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
 use crate::sat_attack::{og_run, BatchEnd, DipEngine, KeyExtraction};
 use kratt_locking::SecretKey;
 use kratt_netlist::Circuit;
@@ -29,7 +29,7 @@ use kratt_netlist::Circuit;
 #[derive(Debug, Clone, Default)]
 pub struct DoubleDipAttack {
     /// Resource budget; an exhausted budget reports `OoT` like the paper.
-    pub budget: AttackBudget,
+    pub budget: Budget,
 }
 
 impl DoubleDipAttack {
@@ -39,7 +39,7 @@ impl DoubleDipAttack {
     }
 
     /// Double DIP with an explicit budget.
-    pub fn with_budget(budget: AttackBudget) -> Self {
+    pub fn with_budget(budget: Budget) -> Self {
         DoubleDipAttack { budget }
     }
 
@@ -220,10 +220,10 @@ mod tests {
         let secret = SecretKey::from_u64(0x155 & 0x1ff, 9);
         let locked = SarLock::new(9).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
-        let attack = DoubleDipAttack::with_budget(AttackBudget {
+        let attack = DoubleDipAttack::with_budget(Budget {
             time_limit: Some(Duration::from_secs(2)),
             max_iterations: 4,
-            ..AttackBudget::default()
+            ..Budget::default()
         });
         let report = report_of(&attack, &locked.circuit, &oracle).unwrap();
         assert_eq!(report.outcome, OgOutcome::OutOfTime);

@@ -70,7 +70,7 @@ impl fmt::Display for ThreatModel {
 }
 
 /// The one shared resource budget of an attack run. Replaces the previously
-/// scattered per-attack knobs (`AttackBudget`, `QbfConfig::time_limit`, the
+/// scattered per-attack knobs (`QbfConfig::time_limit`, the
 /// structural-analysis timeouts): a request carries a single `Budget` and
 /// every engine derives its solver limits from it.
 ///

@@ -34,6 +34,7 @@ use crate::engine::{Attack, AttackRequest, Budget, CostClass, Deadline};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
 use crate::report::AttackRun;
+use kratt_netlist::json;
 use kratt_netlist::Circuit;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -213,18 +214,17 @@ impl MatrixRow {
     /// Renders the row as one flat JSON-lines record (the matrix `--stream`
     /// row format, mirroring the campaign's cell records).
     pub fn to_json_line(&self) -> String {
-        use crate::report::{json_key, json_str};
         let mut out = String::with_capacity(192);
         out.push('{');
-        json_str(&mut out, "type", "row");
+        json::write_field(&mut out, "type", "row");
         out.push(',');
-        json_str(&mut out, "case", &self.case);
+        json::write_field(&mut out, "case", &self.case);
         out.push(',');
-        json_str(&mut out, "attack", &self.attack);
+        json::write_field(&mut out, "attack", &self.attack);
         out.push(',');
         match &self.result {
             Ok(run) => {
-                json_str(&mut out, "outcome", run.outcome.kind());
+                json::write_field(&mut out, "outcome", run.outcome.kind());
                 out.push_str(&format!(
                     ",\"runtime_secs\":{:.6},\"iterations\":{},\"oracle_queries\":{}",
                     run.runtime.as_secs_f64(),
@@ -233,9 +233,9 @@ impl MatrixRow {
                 ));
             }
             Err(error) => {
-                json_key(&mut out, "outcome");
+                json::write_key(&mut out, "outcome");
                 out.push_str("null,");
-                json_str(&mut out, "error", &error.to_string());
+                json::write_field(&mut out, "error", &error.to_string());
             }
         }
         out.push_str(&format!(
@@ -254,7 +254,7 @@ impl SchedulerStats {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push('{');
-        crate::report::json_str(&mut out, "type", "summary");
+        json::write_field(&mut out, "type", "summary");
         out.push_str(&format!(
             ",\"jobs\":{},\"workers\":{},\"steals\":{},\"interrupted\":{},\"makespan_secs\":{:.6}}}",
             self.jobs,

@@ -30,7 +30,7 @@
 //! malformed, so a truncated tail costs exactly one re-attacked cell.
 
 use crate::campaign::{cell_from_pairs, cell_json_body, CampaignCell, CampaignError};
-use crate::report::{json_str, parse_flat_object, JsonScalar};
+use kratt_netlist::json::{self, Value};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -104,7 +104,7 @@ impl CampaignJournal {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let Some(pairs) = parse_flat_object(&line) else {
+                    let Some(pairs) = json::parse_flat_object(&line) else {
                         continue; // torn or foreign line: costs one re-attack
                     };
                     let field = |name: &str| {
@@ -113,11 +113,11 @@ impl CampaignJournal {
                             .find(|(key, _)| key == name)
                             .map(|(_, value)| value)
                     };
-                    let Some(kind) = field("type").and_then(JsonScalar::as_str) else {
+                    let Some(kind) = field("type").and_then(Value::as_str) else {
                         continue;
                     };
                     let Some(fp) = field("fp")
-                        .and_then(JsonScalar::as_str)
+                        .and_then(Value::as_str)
                         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
                     else {
                         continue;
@@ -130,7 +130,7 @@ impl CampaignJournal {
                         }
                         "instance" => {
                             if let Some(locked_fp) = field("locked_fp")
-                                .and_then(JsonScalar::as_str)
+                                .and_then(Value::as_str)
                                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
                             {
                                 instances.insert(fp, locked_fp);
@@ -198,11 +198,11 @@ impl CampaignJournal {
         }
         let mut line = String::with_capacity(64);
         line.push('{');
-        json_str(&mut line, "type", "instance");
+        json::write_field(&mut line, "type", "instance");
         line.push(',');
-        json_str(&mut line, "fp", &format!("{fp:016x}"));
+        json::write_field(&mut line, "fp", &format!("{fp:016x}"));
         line.push(',');
-        json_str(&mut line, "locked_fp", &format!("{locked_fp:016x}"));
+        json::write_field(&mut line, "locked_fp", &format!("{locked_fp:016x}"));
         line.push_str("}\n");
         self.append(&line);
     }
@@ -216,9 +216,9 @@ impl CampaignJournal {
             .insert(fp, cell.clone());
         let mut line = String::with_capacity(256);
         line.push('{');
-        json_str(&mut line, "type", "cell");
+        json::write_field(&mut line, "type", "cell");
         line.push(',');
-        json_str(&mut line, "fp", &format!("{fp:016x}"));
+        json::write_field(&mut line, "fp", &format!("{fp:016x}"));
         line.push(',');
         cell_json_body(&mut line, cell);
         line.push_str("}\n");

@@ -6,21 +6,16 @@
 //! internal shapes the per-attack workers produce before `execute` lifts
 //! them into an [`AttackRun`].
 //!
-//! This module also owns the hand-rolled JSON plumbing (the workspace is
-//! offline and carries no serde): the escape/emit helpers the campaign
-//! report and the journal share, and a minimal flat-object parser the
-//! append-only campaign journal replays its records through.
+//! JSON rendering goes through [`kratt_netlist::json`], the suite's one
+//! JSON module.
 
 use crate::engine::ThreatModel;
 use crate::error::AttackError;
 use kratt_locking::{LockedCircuit, SecretKey};
+use kratt_netlist::json;
 use kratt_netlist::Circuit;
 use std::collections::HashMap;
 use std::time::Duration;
-
-/// Legacy name of the shared resource budget; use
-/// [`Budget`](crate::engine::Budget) in new code.
-pub type AttackBudget = crate::engine::Budget;
 
 /// The key-input names of a locked netlist, in `keyinput` order — the name
 /// list every `KeyGuess` ↔ `SecretKey` conversion is defined over. Thin
@@ -327,18 +322,18 @@ impl AttackRun {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push('{');
-        json_str(&mut out, "attack", &self.attack);
+        json::write_field(&mut out, "attack", &self.attack);
         out.push(',');
-        json_str(&mut out, "threat_model", &self.threat_model.to_string());
+        json::write_field(&mut out, "threat_model", &self.threat_model.to_string());
         out.push_str(",\"outcome\":{");
-        json_str(&mut out, "kind", self.outcome.kind());
+        json::write_field(&mut out, "kind", self.outcome.kind());
         match &self.outcome {
             AttackOutcome::ExactKey(key) => {
                 out.push(',');
                 // Width-preserving hex, not the old bit-vector dump: a
                 // 128-bit key renders as `128'h...`, and
                 // `SecretKey::from_hex` round-trips it.
-                json_str(&mut out, "key", &key.to_hex());
+                json::write_field(&mut out, "key", &key.to_hex());
                 out.push_str(&format!(",\"width\":{}", key.bits().len()));
             }
             AttackOutcome::PartialGuess(guess) => {
@@ -349,7 +344,7 @@ impl AttackRun {
                     if i > 0 {
                         out.push(',');
                     }
-                    json_key(&mut out, name);
+                    json::write_key(&mut out, name);
                     out.push_str(if guess.bits[*name] { "true" } else { "false" });
                 }
                 out.push('}');
@@ -375,7 +370,7 @@ impl AttackRun {
                 out.push(',');
             }
             out.push('{');
-            json_str(&mut out, "name", &step.name);
+            json::write_field(&mut out, "name", &step.name);
             out.push_str(&format!(",\"secs\":{:.6}}}", step.duration.as_secs_f64()));
         }
         out.push(']');
@@ -388,9 +383,9 @@ impl AttackRun {
                     out.push(',');
                 }
                 out.push('{');
-                json_str(&mut out, "name", &member.name);
+                json::write_field(&mut out, "name", &member.name);
                 out.push(',');
-                json_str(&mut out, "outcome", &member.outcome);
+                json::write_field(&mut out, "outcome", &member.outcome);
                 out.push_str(&format!(
                     ",\"wall_secs\":{:.6},\"verified\":{},\"winner\":{}}}",
                     member.wall.as_secs_f64(),
@@ -402,167 +397,6 @@ impl AttackRun {
         }
         out.push('}');
         out
-    }
-}
-
-/// Appends `"key":"escaped value"`. Shared with the campaign report.
-pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
-    json_key(out, key);
-    out.push('"');
-    json_escape(out, value);
-    out.push('"');
-}
-
-/// Appends `"escaped key":`. Shared with the campaign report and journal.
-pub(crate) fn json_key(out: &mut String, key: &str) {
-    out.push('"');
-    json_escape(out, key);
-    out.push_str("\":");
-}
-
-fn json_escape(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// A scalar value of a flat JSON object — all the journal and stream
-/// records need (records are deliberately one level deep so a torn line
-/// is trivially detectable).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonScalar {
-    /// A JSON string.
-    Str(String),
-    /// Any JSON number.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl JsonScalar {
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonScalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object line (`{"k":"v","n":1.5,"b":true}`) into its
-/// key/value pairs. Returns `None` on any syntax error — the journal treats
-/// a malformed line (e.g. a torn final write after a crash) as absent.
-pub(crate) fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonScalar)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut pairs = Vec::new();
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_json_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next()? != ':' {
-                return None;
-            }
-            skip_ws(&mut chars);
-            let value = parse_json_scalar(&mut chars)?;
-            pairs.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next()? {
-                ',' => continue,
-                '}' => break,
-                _ => return None,
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(pairs)
-}
-
-type CharStream<'a> = std::iter::Peekable<std::str::Chars<'a>>;
-
-fn skip_ws(chars: &mut CharStream<'_>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_json_string(chars: &mut CharStream<'_>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let value = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(value)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_json_scalar(chars: &mut CharStream<'_>) -> Option<JsonScalar> {
-    match chars.peek()? {
-        '"' => parse_json_string(chars).map(JsonScalar::Str),
-        't' | 'f' | 'n' => {
-            let mut word = String::new();
-            while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                word.push(chars.next()?);
-            }
-            match word.as_str() {
-                "true" => Some(JsonScalar::Bool(true)),
-                "false" => Some(JsonScalar::Bool(false)),
-                "null" => Some(JsonScalar::Null),
-                _ => None,
-            }
-        }
-        _ => {
-            let mut literal = String::new();
-            while chars
-                .peek()
-                .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-            {
-                literal.push(chars.next()?);
-            }
-            literal.parse::<f64>().ok().map(JsonScalar::Num)
-        }
     }
 }
 
@@ -587,6 +421,7 @@ pub fn score_guess(locked: &LockedCircuit, guess: &KeyGuess) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Budget;
     use kratt_locking::{LockingTechnique, SarLock};
     use kratt_netlist::GateType;
     use std::time::Duration;
@@ -665,9 +500,9 @@ mod tests {
 
     #[test]
     fn budget_default_has_a_time_limit() {
-        let budget = AttackBudget::default();
+        let budget = Budget::default();
         assert!(budget.time_limit.is_some());
-        let custom = AttackBudget::with_time_limit(Duration::from_secs(5));
+        let custom = Budget::with_time_limit(Duration::from_secs(5));
         assert_eq!(custom.time_limit, Some(Duration::from_secs(5)));
     }
 
@@ -711,23 +546,24 @@ mod tests {
 
     #[test]
     fn flat_object_parser_handles_records_and_rejects_torn_lines() {
-        let pairs = parse_flat_object(
+        use json::Value;
+        let pairs = json::parse_flat_object(
             r#"{"type":"cell","fp":"00ff","cdk":3,"secs":1.5,"ok":true,"err":null,"esc":"a\"b\\c\nd"}"#,
         )
         .expect("well-formed record");
-        assert_eq!(pairs[0], ("type".into(), JsonScalar::Str("cell".into())));
+        assert_eq!(pairs[0], ("type".into(), Value::String("cell".into())));
         assert_eq!(pairs[1].1.as_str(), Some("00ff"));
         assert_eq!(pairs[2].1.as_f64(), Some(3.0));
-        assert_eq!(pairs[3].1, JsonScalar::Num(1.5));
-        assert_eq!(pairs[4].1, JsonScalar::Bool(true));
-        assert_eq!(pairs[5].1, JsonScalar::Null);
+        assert_eq!(pairs[3].1, Value::Real(1.5));
+        assert_eq!(pairs[4].1, Value::Bool(true));
+        assert_eq!(pairs[5].1, Value::Null);
         assert_eq!(pairs[6].1.as_str(), Some("a\"b\\c\nd"));
-        assert_eq!(parse_flat_object("{}"), Some(Vec::new()));
+        assert_eq!(json::parse_flat_object("{}"), Some(Vec::new()));
         // Torn / malformed lines (crash mid-append) parse to None.
-        assert!(parse_flat_object(r#"{"type":"cell","fp":"00"#).is_none());
-        assert!(parse_flat_object(r#"{"a":1} trailing"#).is_none());
-        assert!(parse_flat_object(r#"{"a":{"nested":1}}"#).is_none());
-        assert!(parse_flat_object("").is_none());
+        assert!(json::parse_flat_object(r#"{"type":"cell","fp":"00"#).is_none());
+        assert!(json::parse_flat_object(r#"{"a":1} trailing"#).is_none());
+        assert!(json::parse_flat_object(r#"{"a":{"nested":1}}"#).is_none());
+        assert!(json::parse_flat_object("").is_none());
     }
 
     #[test]

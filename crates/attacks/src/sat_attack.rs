@@ -4,7 +4,7 @@
 use crate::engine::{Attack, AttackRequest, Budget, Deadline, ThreatModel};
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::report::{AttackBudget, AttackRun, OgOutcome, OgReport, StepTiming};
+use crate::report::{AttackRun, OgOutcome, OgReport, StepTiming};
 use kratt_locking::SecretKey;
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::{Aig, AigLit, Circuit};
@@ -155,7 +155,7 @@ impl<'a> DipEngine<'a> {
     pub(crate) fn new(
         locked: &'a Circuit,
         oracle: &'a Oracle,
-        budget: &AttackBudget,
+        budget: &Budget,
         deadline: Deadline,
     ) -> Result<Self, AttackError> {
         Self::with_engine(locked, oracle, budget, deadline, DipEngineKind::from_env())
@@ -164,7 +164,7 @@ impl<'a> DipEngine<'a> {
     pub(crate) fn with_engine(
         locked: &'a Circuit,
         oracle: &'a Oracle,
-        budget: &AttackBudget,
+        budget: &Budget,
         deadline: Deadline,
         engine: DipEngineKind,
     ) -> Result<Self, AttackError> {
@@ -458,10 +458,7 @@ impl<'a> DipEngine<'a> {
     /// all learned clauses retained. The legacy path
     /// (`KRATT_INCREMENTAL_SAT=0`) rebuilds a fresh solver and re-encodes
     /// one circuit copy per constraint.
-    pub(crate) fn extract_key(
-        &mut self,
-        budget: &AttackBudget,
-    ) -> Result<KeyExtraction, AttackError> {
+    pub(crate) fn extract_key(&mut self, budget: &Budget) -> Result<KeyExtraction, AttackError> {
         if self.incremental {
             return Ok(
                 match self
@@ -609,7 +606,7 @@ pub fn measure_dip_encoding(
     oracle: &Oracle,
     engine: DipEngineKind,
 ) -> Result<DipEncodeStats, AttackError> {
-    let budget = AttackBudget::default();
+    let budget = Budget::default();
     let deadline = budget.start();
     let dip = DipEngine::with_engine(locked, oracle, &budget, deadline, engine)?;
     let (vars, clauses) = dip.encode_footprint();
@@ -622,7 +619,7 @@ pub fn measure_dip_encoding(
 #[derive(Debug, Clone)]
 pub struct SatAttack {
     /// Resource budget; an exhausted budget reports `OoT` like the paper.
-    pub budget: AttackBudget,
+    pub budget: Budget,
     /// Number of distinct DIPs collected per solver session and queried
     /// against the oracle in one packed 64-wide sweep. `1` (the default)
     /// is the classic one-DIP-per-round loop; the default can be raised
@@ -642,7 +639,7 @@ impl Default for SatAttack {
             .unwrap_or(1)
             .clamp(1, 64);
         SatAttack {
-            budget: AttackBudget::default(),
+            budget: Budget::default(),
             dip_batch,
             engine: DipEngineKind::from_env(),
         }
@@ -656,7 +653,7 @@ impl SatAttack {
     }
 
     /// SAT attack with an explicit budget.
-    pub fn with_budget(budget: AttackBudget) -> Self {
+    pub fn with_budget(budget: Budget) -> Self {
         SatAttack {
             budget,
             ..Default::default()
@@ -901,10 +898,10 @@ mod tests {
         let secret = SecretKey::from_u64(0x1ab & 0x1ff, 9);
         let locked = SarLock::new(9).lock(&original, &secret).unwrap();
         let oracle = Oracle::new(original).unwrap();
-        let attack = SatAttack::with_budget(AttackBudget {
+        let attack = SatAttack::with_budget(Budget {
             time_limit: Some(Duration::from_secs(2)),
             max_iterations: 5,
-            ..AttackBudget::default()
+            ..Budget::default()
         });
         let report = report_of(&attack, &locked.circuit, &oracle).unwrap();
         assert_eq!(report.outcome, OgOutcome::OutOfTime);
@@ -944,7 +941,7 @@ mod tests {
         let locked = RandomXorLocking::new(4, 7)
             .lock(&original, &secret)
             .unwrap();
-        let budget = AttackBudget::default();
+        let budget = Budget::default();
         for incremental in [true, false] {
             let oracle = Oracle::new(original.clone()).unwrap();
             let deadline = budget.start();
@@ -985,7 +982,7 @@ mod tests {
         let locked = RandomXorLocking::new(6, 11)
             .lock(&original, &secret)
             .unwrap();
-        let budget = AttackBudget::default();
+        let budget = Budget::default();
         for engine in [DipEngineKind::Gate, DipEngineKind::Aig] {
             for incremental in [true, false] {
                 let oracle = Oracle::new(original.clone()).unwrap();

@@ -1,19 +1,19 @@
 //! The benchmark regression gate: compares a fresh `BENCH_results.json`
-//! against the committed `BENCH_baseline.json` and exits non-zero when a
-//! tracked kernel regressed.
+//! against the committed `BENCH_baseline.json`, prints every current
+//! record, and exits non-zero when a gate fails.
 //!
 //! ```sh
 //! cargo run --release -p kratt-bench --bin bench_check -- \
 //!     BENCH_baseline.json BENCH_results.json
 //! ```
 //!
-//! Tracked kernels gate on the machine-portable packed-over-scalar speedup
-//! ratio (tolerance `KRATT_BENCH_TOLERANCE`, default 0.25) and on the
-//! absolute acceptance floor (`KRATT_MIN_PACKED_SPEEDUP`, default 8).
-//! Attack telemetry drift (iterations / oracle queries) is reported but
-//! only fails the gate with `KRATT_BENCH_STRICT=1`.
+//! The gate policy is the table `kratt_bench::emit::SECTIONS`. Knobs:
+//! `KRATT_BENCH_TOLERANCE` (relative tolerance, default 0.25),
+//! `KRATT_MIN_PACKED_SPEEDUP` (absolute floor of the simulation kernels,
+//! default 8) and `KRATT_BENCH_STRICT=1` (attack telemetry growth fails the
+//! gate instead of being reported as drift).
 
-use kratt_bench::emit::{compare, BenchResults};
+use kratt_bench::emit::{compare, BenchResults, SECTIONS};
 use std::process::ExitCode;
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -48,118 +48,16 @@ fn main() -> ExitCode {
 
     println!(
         "bench_check: {} kernels, {} attack rows ({}% tolerance, {:.0}x floor{})",
-        baseline.kernels.len(),
-        baseline.attacks.len(),
+        baseline.section("kernels").len(),
+        baseline.section("attacks").len(),
         tolerance * 100.0,
         min_speedup,
         if strict { ", strict" } else { "" }
     );
-    for kernel in &current.kernels {
-        println!(
-            "  kernel {:<24} scalar {:>9.3} ms  packed {:>9.3} ms  speedup {:>6.1}x",
-            kernel.name, kernel.scalar_ms, kernel.packed_ms, kernel.speedup
-        );
-    }
-    for kernel in &current.cnf {
-        println!(
-            "  cnf    {:<24} gate {:>7}v/{:>8}c  aig {:>7}v/{:>8}c  reduction {:>5.1}%/{:>5.1}%",
-            kernel.name,
-            kernel.gate_vars,
-            kernel.gate_clauses,
-            kernel.aig_vars,
-            kernel.aig_clauses,
-            kernel.var_reduction * 100.0,
-            kernel.clause_reduction * 100.0
-        );
-    }
-    for kernel in &current.fraig {
-        println!(
-            "  fraig  {:<24} gate {:>9.1} ms  fraig {:>9.1} ms  speedup {:>6.2}x  ({} SAT calls, {} merges)",
-            kernel.name,
-            kernel.gate_level_ms,
-            kernel.fraig_ms,
-            kernel.speedup,
-            kernel.sat_calls,
-            kernel.proved_merges
-        );
-    }
-
-    for kernel in &current.scope {
-        println!(
-            "  scope  {:<24} resynth {:>9.1} ms  aig {:>9.1} ms  speedup {:>6.1}x  ({} key bits, engines {})",
-            kernel.name,
-            kernel.resynth_ms,
-            kernel.aig_ms,
-            kernel.speedup,
-            kernel.key_bits,
-            if kernel.matches { "agree" } else { "DISAGREE" }
-        );
-    }
-
-    for kernel in &current.scheduler {
-        println!(
-            "  sched  {:<24} static {:>9.1} ms  stolen {:>9.1} ms  ratio {:>6.2}x  ({} jobs, {} workers, {} steals)",
-            kernel.name,
-            kernel.static_ms,
-            kernel.scheduled_ms,
-            kernel.speedup,
-            kernel.jobs,
-            kernel.workers,
-            kernel.steals
-        );
-    }
-
-    for kernel in &current.dip_aig {
-        println!(
-            "  dip    {:<24} gate {:>7}v/{:>8}c  aig {:>7}v/{:>8}c  reduction {:>5.1}%/{:>5.1}%  cegar {:>6.1}/{:>6.1} it/s",
-            kernel.name,
-            kernel.gate_vars,
-            kernel.gate_clauses,
-            kernel.aig_vars,
-            kernel.aig_clauses,
-            kernel.var_reduction * 100.0,
-            kernel.clause_reduction * 100.0,
-            kernel.gate_iters_per_sec,
-            kernel.aig_iters_per_sec
-        );
-    }
-
-    for kernel in &current.rewrite {
-        println!(
-            "  rewr   {:<24} nodes {:>6} -> {:>6}  levels {:>3} -> {:>3}  reduction {:>5.1}%",
-            kernel.name,
-            kernel.nodes_before,
-            kernel.nodes_after,
-            kernel.levels_before,
-            kernel.levels_after,
-            kernel.node_reduction * 100.0
-        );
-    }
-
-    for kernel in &current.portfolio {
-        println!(
-            "  race   {:<24} race {:>9.1} ms  best {:>9.1} ms  worst {:>9.1} ms  overhead {:>5.2}x  (winner {}, {})",
-            kernel.name,
-            kernel.portfolio_ms,
-            kernel.best_member_ms,
-            kernel.worst_member_ms,
-            kernel.overhead,
-            kernel.winner,
-            if kernel.verified { "verified" } else { "UNVERIFIED" }
-        );
-    }
-
-    for kernel in &current.fraig_par {
-        println!(
-            "  fpar   {:<24} seq {:>9.1} ms  par {:>9.1} ms  speedup {:>6.2}x  ({} workers, verdicts {}, merges {})",
-            kernel.name,
-            kernel.seq_sweep_ms,
-            kernel.par_sweep_ms,
-            kernel.speedup,
-            kernel.workers,
-            if kernel.verdicts_match { "agree" } else { "DISAGREE" },
-            if kernel.merges_match { "agree" } else { "DISAGREE" }
-        );
+    for (section, records) in SECTIONS.iter().zip(&current.sections) {
+        for record in records {
+            println!("  {:<9} {}", section.name, record.to_json());
+        }
     }
 
     let regressions = compare(&baseline, &current, tolerance, min_speedup, strict);

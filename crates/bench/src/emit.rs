@@ -1,17 +1,20 @@
-//! The benchmark JSON emitter: measures the tracked kernels (bit-parallel
-//! simulation sweeps) and the per-attack × per-host wall-clock / iteration /
-//! oracle-query telemetry, and renders everything as `BENCH_results.json`.
+//! The benchmark JSON emitter: measures the tracked kernels and the
+//! per-attack × per-host wall-clock / iteration / oracle-query telemetry,
+//! renders everything as `BENCH_results.json`, and gates a run against a
+//! baseline.
 //!
 //! One emitter serves both workflows: locally via `KRATT_BENCH_OUT=path.json
 //! cargo bench -p kratt-bench --bench kernels`, and in CI where the
 //! `bench-regression` job uploads the file as an artifact and gates merges
 //! with the `bench_check` binary against the committed `BENCH_baseline.json`.
 //!
-//! Cross-machine comparability: kernel records track the *speedup ratio* of
-//! the packed 64-lane sweep over 64 scalar evaluations (a property of the
-//! code, not of the host's absolute clock), so the regression gate holds on
-//! any runner. Absolute wall-clock numbers are recorded for trend reading
-//! but only compared when explicitly requested.
+//! Every record has one shape, [`Record`]: an ordered list of fields. The
+//! file is the five [`BenchResults`] header fields plus one record list per
+//! entry of [`SECTIONS`], and that table also holds every gate [`compare`]
+//! applies — the whole gate policy in one place. Cross-machine
+//! comparability comes from gating on ratios measured in one process
+//! (speedups, overheads) and on exact counts (encode sizes, node counts);
+//! absolute wall-clock numbers are recorded for trend reading only.
 
 use crate::ExperimentOptions;
 use kratt_attacks::{
@@ -21,6 +24,7 @@ use kratt_attacks::{
 use kratt_benchmarks::IscasCircuit;
 use kratt_locking::{LockingTechnique, RandomXorLocking, SchemeSpec, SecretKey};
 use kratt_netlist::aig::Aig;
+use kratt_netlist::json::{self, Value};
 use kratt_netlist::sim::Simulator;
 use kratt_netlist::Circuit;
 use kratt_sat::{ClauseSink, Cnf, Encoder, Lit};
@@ -29,234 +33,94 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// One tracked simulation kernel: 64 patterns through an ISCAS host, scalar
-/// versus packed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRecord {
-    /// Kernel name (`"sim_sweep64_c5315"`, ...).
-    pub name: String,
-    /// Wall-clock of 64 scalar evaluations, in milliseconds.
-    pub scalar_ms: f64,
-    /// Wall-clock of one packed 64-lane sweep, in milliseconds.
-    pub packed_ms: f64,
-    /// `scalar_ms / packed_ms` — the machine-portable tracked metric.
-    pub speedup: f64,
+/// One bench record: its fields in rendering order. Values are integers,
+/// reals, booleans, strings or string lists; integers and reals stay apart
+/// so that a parsed file renders back byte for byte.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Record(Vec<(String, Value)>);
+
+impl Record {
+    /// Appends a string field.
+    fn text(self, field: &str, value: impl Into<String>) -> Self {
+        self.with(field, Value::String(value.into()))
+    }
+
+    /// Appends an integer field.
+    fn int(self, field: &str, value: u64) -> Self {
+        self.with(field, Value::Int(i64::try_from(value).unwrap_or(i64::MAX)))
+    }
+
+    /// Appends a real field.
+    fn real(self, field: &str, value: f64) -> Self {
+        self.with(field, Value::Real(value))
+    }
+
+    /// Appends a boolean field.
+    fn flag(self, field: &str, value: bool) -> Self {
+        self.with(field, Value::Bool(value))
+    }
+
+    /// Appends a string-list field.
+    fn list(self, field: &str, values: Vec<String>) -> Self {
+        self.with(
+            field,
+            Value::Array(values.into_iter().map(Value::String).collect()),
+        )
+    }
+
+    fn with(mut self, field: &str, value: Value) -> Self {
+        self.0.push((field.to_string(), value));
+        self
+    }
+
+    /// The value of `field`, if the record has it.
+    fn get(&self, field: &str) -> Option<&Value> {
+        self.0
+            .iter()
+            .find(|(name, _)| name == field)
+            .map(|(_, v)| v)
+    }
+
+    fn num(&self, field: &str) -> Result<f64, String> {
+        let value = self.get(field).and_then(Value::as_f64);
+        value.ok_or_else(|| format!("record has no numeric `{field}`"))
+    }
+
+    fn text_of(&self, field: &str) -> Result<&str, String> {
+        let value = self.get(field).and_then(Value::as_str);
+        value.ok_or_else(|| format!("record has no string `{field}`"))
+    }
+
+    /// The record as one JSON object line, in the `BENCH_*.json` layout.
+    pub fn to_json(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .map(|(field, value)| format!("{}: {}", json::quote(field), render(value)))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
 }
 
-/// One tracked CNF-size kernel: the equivalence miter of an ISCAS host
-/// against its seed-1 resynthesised variant, encoded once per gate
-/// (`Encoder::encode` + `miter`) and once through the shared AIG
-/// (`Encoder::encode_aig` of the one-output miter AIG). Counts are exact and
-/// machine-independent, so the regression gate on them is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CnfRecord {
-    /// Kernel name (`"cnf_miter_c5315"`, ...).
-    pub name: String,
-    /// Variables of the per-gate miter encoding.
-    pub gate_vars: u64,
-    /// Clauses of the per-gate miter encoding.
-    pub gate_clauses: u64,
-    /// Variables of the AIG miter encoding.
-    pub aig_vars: u64,
-    /// Clauses of the AIG miter encoding.
-    pub aig_clauses: u64,
-    /// `1 - aig_vars / gate_vars` — the tracked variable reduction.
-    pub var_reduction: f64,
-    /// `1 - aig_clauses / gate_clauses` — the tracked clause reduction.
-    pub clause_reduction: f64,
+/// Renders a record value: reals with six decimals (non-finite as `0.0`),
+/// lists as `[a, b]`.
+fn render(value: &Value) -> String {
+    match value {
+        Value::Real(x) if x.is_finite() => format!("{x:.6}"),
+        Value::Real(_) => "0.0".to_string(),
+        Value::Int(n) => n.to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::String(s) => json::quote(s),
+        Value::Array(items) => {
+            let items: Vec<String> = items.iter().map(render).collect();
+            format!("[{}]", items.join(", "))
+        }
+        Value::Null | Value::Object(_) => "null".to_string(),
+    }
 }
 
-/// One tracked fraig-equivalence kernel: proving an ISCAS host equivalent to
-/// its resynthesised variant through the fraig pipeline versus the legacy
-/// monolithic gate-level miter. The machine-portable metric is the speedup
-/// ratio, as with the simulation kernels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FraigRecord {
-    /// Kernel name (`"fraig_eqv_c2670"`, ...).
-    pub name: String,
-    /// Wall-clock of the monolithic gate-level check, in milliseconds.
-    pub gate_level_ms: f64,
-    /// Wall-clock of the fraig pipeline, in milliseconds.
-    pub fraig_ms: f64,
-    /// `gate_level_ms / fraig_ms` — the tracked ratio.
-    pub speedup: f64,
-    /// SAT queries the fraig pipeline spent.
-    pub sat_calls: u64,
-    /// Node pairs the fraig sweep proved equal and merged.
-    pub proved_merges: u64,
-}
-
-/// One tracked SCOPE feature kernel: the full key sweep of the SCOPE attack
-/// on a SARLock-locked ISCAS host, dataflow cofactor replay versus the
-/// legacy per-bit resynthesis engine. Both engines must produce the same
-/// key guess for the record to count (the replay is exact by construction —
-/// a mismatch is a correctness bug, not noise), so the machine-portable
-/// tracked metrics are the speedup ratio and the agreement flag.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScopeRecord {
-    /// Kernel name (`"scope_aig_c2670"`, ...).
-    pub name: String,
-    /// Key bits of the locked instance the sweep analysed.
-    pub key_bits: u64,
-    /// Wall-clock of the legacy resynthesis sweep, in milliseconds.
-    pub resynth_ms: f64,
-    /// Wall-clock of the dataflow-replay sweep, in milliseconds.
-    pub aig_ms: f64,
-    /// `resynth_ms / aig_ms` — the tracked ratio.
-    pub speedup: f64,
-    /// Whether the two engines produced the identical key guess.
-    pub matches: bool,
-}
-
-/// The tracked scheduler kernel: the same attacks × hosts matrix dispatched
-/// once through the static per-worker split and once through the
-/// work-stealing scheduler. The machine-portable tracked metric is the
-/// makespan ratio (both runs execute in the same process on the same
-/// machine), which must never fall meaningfully below 1 — work stealing is
-/// only accepted while it is no worse than the static split.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerRecord {
-    /// Kernel name (`"scheduler_matrix"`).
-    pub name: String,
-    /// Jobs the matrix scheduled.
-    pub jobs: u64,
-    /// Worker threads used.
-    pub workers: u64,
-    /// Successful steals from another worker's deque.
-    pub steals: u64,
-    /// Makespan of the static-split dispatch, in milliseconds.
-    pub static_ms: f64,
-    /// Makespan of the work-stealing dispatch, in milliseconds.
-    pub scheduled_ms: f64,
-    /// `static_ms / scheduled_ms` — the tracked ratio.
-    pub speedup: f64,
-    /// Mean queue wait across the scheduled jobs, in milliseconds.
-    pub mean_queue_wait_ms: f64,
-}
-
-/// One tracked DIP-engine kernel: the CEGAR miter of a random-XOR-locked
-/// ISCAS host encoded once per gate (two gate-level circuit copies +
-/// `Encoder::miter`) and once through the shared structurally-hashed AIG
-/// (`DipEngineKind::Aig`). The encode footprints are exact counts taken
-/// straight from the solver after `DipEngine` construction, so the
-/// reduction gate is deterministic on any machine; the CEGAR
-/// iterations-per-second of each engine is wall-clock telemetry and gates
-/// only as a same-OS ratio.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DipAigRecord {
-    /// Kernel name (`"dip_aig_c2670"`, ...).
-    pub name: String,
-    /// Key bits of the locked instance.
-    pub key_bits: u64,
-    /// Solver variables after the gate-level engine encoded the miter.
-    pub gate_vars: u64,
-    /// Solver clauses after the gate-level engine encoded the miter.
-    pub gate_clauses: u64,
-    /// Solver variables after the AIG engine encoded the miter.
-    pub aig_vars: u64,
-    /// Solver clauses after the AIG engine encoded the miter.
-    pub aig_clauses: u64,
-    /// `1 - aig_vars / gate_vars` — the tracked variable reduction.
-    pub var_reduction: f64,
-    /// `1 - aig_clauses / gate_clauses` — the tracked clause reduction.
-    pub clause_reduction: f64,
-    /// Full CEGAR loop throughput of the gate-level engine, iterations/s.
-    pub gate_iters_per_sec: f64,
-    /// Full CEGAR loop throughput of the AIG engine, iterations/s.
-    pub aig_iters_per_sec: f64,
-}
-
-/// One tracked rewriting kernel: `Aig::rewrite` (4-input cut enumeration +
-/// NPN-canonical optimal-subgraph replacement) on an ISCAS host. Node
-/// counts are exact and machine-independent, so the reduction gate is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RewriteRecord {
-    /// Kernel name (`"rewrite_c2670"`, ...).
-    pub name: String,
-    /// Live AND nodes before rewriting.
-    pub nodes_before: u64,
-    /// Live AND nodes after rewriting.
-    pub nodes_after: u64,
-    /// Logic levels before rewriting.
-    pub levels_before: u64,
-    /// Logic levels after rewriting.
-    pub levels_after: u64,
-    /// `1 - nodes_after / nodes_before` — the tracked node reduction.
-    pub node_reduction: f64,
-}
-
-/// One attack × host cell of the scaled-down bench matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackRecord {
-    /// Registry name of the attack.
-    pub attack: String,
-    /// Case name (`"c2670/SARLock"`, ...).
-    pub host: String,
-    /// Outcome kind (`"exact-key"`, `"out-of-budget"`, `"error: ..."`).
-    pub outcome: String,
-    /// Wall-clock of the run, in milliseconds.
-    pub wall_ms: f64,
-    /// Attack iterations (DIPs, CEGAR rounds, ...).
-    pub iterations: u64,
-    /// Oracle queries spent.
-    pub oracle_queries: u64,
-}
-
-/// One tracked portfolio-race kernel: the portfolio attack racing its
-/// member engines on one locked scheme × host cell, against each member run
-/// solo (as a single-member portfolio, so the solo wall includes the same
-/// SAT verification of the claimed key the race pays for its winner). The
-/// machine-portable tracked metric is the overhead ratio of the race over
-/// its best solo member — all walls come from the same process on the same
-/// machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortfolioRecord {
-    /// Kernel name (`"portfolio_c2670_sarlock"`, ...).
-    pub name: String,
-    /// Registry names of the raced member engines.
-    pub members: Vec<String>,
-    /// Registry name of the member that won the race.
-    pub winner: String,
-    /// Whether the race's winning key claim was SAT-verified exact.
-    pub verified: bool,
-    /// Wall-clock of the full portfolio race, in milliseconds.
-    pub portfolio_ms: f64,
-    /// Wall-clock of the fastest solo member that produced a verified
-    /// exact key, in milliseconds.
-    pub best_member_ms: f64,
-    /// Wall-clock of the slowest verified solo member, in milliseconds.
-    pub worst_member_ms: f64,
-    /// `portfolio_ms / best_member_ms` — the tracked overhead ratio.
-    pub overhead: f64,
-}
-
-/// One tracked parallel-fraig kernel: the fraig equivalence sweep of an
-/// ISCAS host against its resynthesised variant, run with one worker and
-/// with [`FRAIG_PAR_WORKERS`]. Both widths must return the same verdict and
-/// the same proved-merge count (the sweep is worker-count-invariant by
-/// construction — a mismatch is a correctness bug, not noise); the
-/// machine-portable tracked metrics are the sweep-stage speedup ratio and
-/// the two agreement flags.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FraigParRecord {
-    /// Kernel name (`"fraig_par_c5315"`, ...).
-    pub name: String,
-    /// Worker threads the parallel sweep ran with.
-    pub workers: u64,
-    /// Sweep-stage wall-clock of the 1-worker run, in milliseconds.
-    pub seq_sweep_ms: f64,
-    /// Sweep-stage wall-clock of the parallel run, in milliseconds.
-    pub par_sweep_ms: f64,
-    /// `seq_sweep_ms / par_sweep_ms` — the tracked ratio.
-    pub speedup: f64,
-    /// Whether both widths returned the same equivalence verdict.
-    pub verdicts_match: bool,
-    /// Whether both widths proved the same number of merges.
-    pub merges_match: bool,
-}
-
-/// Everything `BENCH_results.json` holds.
+/// Everything `BENCH_results.json` holds: the five header fields and one
+/// record list per entry of [`SECTIONS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResults {
     /// Schema version of the file.
@@ -269,26 +133,8 @@ pub struct BenchResults {
     pub scale: f64,
     /// Per-attack budget (seconds) the matrix ran with.
     pub budget_secs: f64,
-    /// The tracked simulation kernels.
-    pub kernels: Vec<KernelRecord>,
-    /// The tracked CNF-size kernels (per-gate vs AIG miter encodings).
-    pub cnf: Vec<CnfRecord>,
-    /// The tracked fraig-equivalence kernels.
-    pub fraig: Vec<FraigRecord>,
-    /// The tracked SCOPE feature kernels (dataflow replay vs resynthesis).
-    pub scope: Vec<ScopeRecord>,
-    /// The tracked scheduler kernels (work stealing vs static split).
-    pub scheduler: Vec<SchedulerRecord>,
-    /// The tracked DIP-engine kernels (AIG vs gate-level CEGAR miters).
-    pub dip_aig: Vec<DipAigRecord>,
-    /// The tracked rewriting kernels (`Aig::rewrite` node reductions).
-    pub rewrite: Vec<RewriteRecord>,
-    /// The tracked portfolio-race kernels (race vs solo members).
-    pub portfolio: Vec<PortfolioRecord>,
-    /// The tracked parallel-fraig kernels (1-worker vs N-worker sweeps).
-    pub fraig_par: Vec<FraigParRecord>,
-    /// The attack × host telemetry.
-    pub attacks: Vec<AttackRecord>,
+    /// The records of each [`SECTIONS`] entry, in that order.
+    pub sections: [Vec<Record>; SECTIONS.len()],
 }
 
 /// Acceptance floor of the CNF kernels: the AIG miter encoding must cut at
@@ -304,9 +150,7 @@ pub const SCOPE_SPEEDUP_FLOOR: f64 = 5.0;
 /// Acceptance floor of the scheduler kernel: the work-stealing dispatch may
 /// be at most ~25% slower than the static split (ratio ≥ 0.8) — the margin
 /// absorbs scheduler noise on shared CI runners while still catching a
-/// scheduler that loses to the static split outright. The gate is skipped
-/// (with a logged reason) when the record ran on a single worker: without
-/// parallelism, work stealing cannot be exercised and the ratio is vacuous.
+/// scheduler that loses to the static split outright.
 pub const SCHEDULER_SPEEDUP_FLOOR: f64 = 0.8;
 
 /// Acceptance floor of the DIP-engine kernels: the AIG-side CEGAR miter
@@ -323,15 +167,12 @@ pub const REWRITE_REDUCTION_FLOOR: f64 = 0.01;
 /// Acceptance ceiling of the portfolio kernels: the race may cost at most
 /// this factor over its best solo member (the whole point of racing is that
 /// first-verified-result cancellation makes losers nearly free). Both walls
-/// come from the same process, so the ratio is machine-portable; the gate
-/// is skipped on single-CPU runners where the members can only timeslice.
+/// come from the same process, so the ratio is machine-portable.
 pub const PORTFOLIO_OVERHEAD_CEIL: f64 = 1.25;
 
 /// Acceptance floor of the parallel-fraig kernels: the
 /// [`FRAIG_PAR_WORKERS`]-wide sweep must beat the 1-worker sweep by at
-/// least this factor. The gate arms only on runners with at least
-/// [`FRAIG_PAR_WORKERS`] CPUs (a narrower sweep cannot reach the floor and
-/// is reported as a non-fatal note instead).
+/// least this factor.
 pub const FRAIG_PAR_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Worker threads of the parallel fraig sweep kernels (capped by the
@@ -368,9 +209,12 @@ fn time_ms_per_call<F: FnMut()>(mut f: F) -> f64 {
     best
 }
 
-/// Measures the tracked kernels: for each ISCAS host, 64 scalar evaluations
-/// versus one packed 64-lane sweep over the same patterns.
-pub fn measure_sim_kernels() -> Vec<KernelRecord> {
+/// Measures the tracked simulation kernels (`kernels`): for each ISCAS
+/// host, 64 scalar evaluations versus one packed 64-lane sweep over the same
+/// patterns. Fields: `scalar_ms` (64 scalar evaluations), `packed_ms` (one
+/// packed sweep) and `speedup`, their ratio — the machine-portable tracked
+/// metric.
+pub fn measure_sim_kernels() -> Vec<Record> {
     IscasCircuit::ALL
         .iter()
         .map(|&host| {
@@ -395,12 +239,11 @@ pub fn measure_sim_kernels() -> Vec<KernelRecord> {
             let packed_ms = time_ms_per_call(|| {
                 std::hint::black_box(sim.run_words(&words).unwrap());
             });
-            KernelRecord {
-                name: format!("sim_sweep64_{}", host.name()),
-                scalar_ms,
-                packed_ms,
-                speedup: scalar_ms / packed_ms.max(f64::MIN_POSITIVE),
-            }
+            Record::default()
+                .text("name", format!("sim_sweep64_{}", host.name()))
+                .real("scalar_ms", scalar_ms)
+                .real("packed_ms", packed_ms)
+                .real("speedup", scalar_ms / packed_ms.max(f64::MIN_POSITIVE))
         })
         .collect()
 }
@@ -415,10 +258,14 @@ fn miter_pair(host: IscasCircuit) -> (Circuit, Circuit) {
     (original, variant)
 }
 
-/// Measures the tracked CNF-size kernels: for each ISCAS host, the
-/// equivalence miter against its resynthesised variant encoded per gate and
-/// through the AIG. Pure counting — no solving.
-pub fn measure_cnf_kernels() -> Vec<CnfRecord> {
+/// Measures the tracked CNF-size kernels (`cnf`): for each ISCAS host, the
+/// equivalence miter against its resynthesised variant encoded once per
+/// gate (`Encoder::encode` + `miter`) and once through the shared AIG
+/// (`Encoder::encode_aig` of the one-output miter AIG). Pure counting — no
+/// solving — so the exact `gate_vars`/`gate_clauses`/`aig_vars`/
+/// `aig_clauses` and the `var_reduction`/`clause_reduction` (`1 - aig /
+/// gate`) gate deterministically on any machine.
+pub fn measure_cnf_kernels() -> Vec<Record> {
     IscasCircuit::ALL
         .iter()
         .map(|&host| {
@@ -450,15 +297,20 @@ pub fn measure_cnf_kernels() -> Vec<CnfRecord> {
             let (gate_vars, gate_clauses) =
                 (gate_cnf.num_vars() as u64, gate_cnf.num_clauses() as u64);
             let (aig_vars, aig_clauses) = (aig_cnf.num_vars() as u64, aig_cnf.num_clauses() as u64);
-            CnfRecord {
-                name: format!("cnf_miter_{}", host.name()),
-                gate_vars,
-                gate_clauses,
-                aig_vars,
-                aig_clauses,
-                var_reduction: 1.0 - aig_vars as f64 / gate_vars.max(1) as f64,
-                clause_reduction: 1.0 - aig_clauses as f64 / gate_clauses.max(1) as f64,
-            }
+            Record::default()
+                .text("name", format!("cnf_miter_{}", host.name()))
+                .int("gate_vars", gate_vars)
+                .int("gate_clauses", gate_clauses)
+                .int("aig_vars", aig_vars)
+                .int("aig_clauses", aig_clauses)
+                .real(
+                    "var_reduction",
+                    1.0 - aig_vars as f64 / gate_vars.max(1) as f64,
+                )
+                .real(
+                    "clause_reduction",
+                    1.0 - aig_clauses as f64 / gate_clauses.max(1) as f64,
+                )
         })
         .collect()
 }
@@ -471,29 +323,36 @@ pub fn measure_cnf_kernels() -> Vec<CnfRecord> {
 /// in CI territory while preserving the asymmetry being tracked.
 const FRAIG_KERNEL_SCALE: f64 = 0.25;
 
-/// Measures the tracked fraig-equivalence kernels: proving each ISCAS host
-/// (at [`FRAIG_KERNEL_SCALE`]) equivalent to its resynthesised variant,
-/// fraig pipeline versus the monolithic gate-level baseline. One timed call
-/// per path (these are whole-proof timings, not micro-kernels); both paths
-/// must return `Equivalent` for the record to count. c6288 is excluded: it
+/// Measures the tracked fraig-equivalence kernels (`fraig`): proving each
+/// ISCAS host (at [`FRAIG_KERNEL_SCALE`]) equivalent to its resynthesised
+/// variant, fraig pipeline (`fraig_ms`, with its `sat_calls` and
+/// `proved_merges`) versus the monolithic gate-level baseline
+/// (`gate_level_ms`); `speedup` is their ratio. One timed call per path
+/// (these are whole-proof timings, not micro-kernels); both paths must
+/// return `Equivalent` for the record to count. c6288 is excluded: it
 /// is always the exact 16×16 multiplier regardless of scale, and a
 /// restructured multiplier miter is intractable for the monolithic baseline
 /// — which is the headline, not a kernel CI can time.
-pub fn measure_fraig_kernels() -> Vec<FraigRecord> {
+pub fn measure_fraig_kernels() -> Vec<Record> {
+    per_host("fraig", measure_fraig_kernel)
+}
+
+/// Measures one record per c2670/c5315 host, keeping those that measured.
+/// A dropped record fails the CI gate as "missing from current results", so
+/// its root cause is logged here to keep that failure diagnosable from the
+/// job log alone.
+fn per_host(kind: &str, measure: impl Fn(IscasCircuit) -> Result<Record, String>) -> Vec<Record> {
+    let measured = |&host: &IscasCircuit| {
+        let dropped = |why| eprintln!("{kind} kernel {} dropped: {why}", host.name());
+        measure(host).map_err(dropped).ok()
+    };
     [IscasCircuit::C2670, IscasCircuit::C5315]
         .iter()
-        .filter_map(|&host| {
-            // A dropped kernel fails the CI gate as "missing from current
-            // results"; log the root cause here so that failure is
-            // diagnosable from the job log alone.
-            measure_fraig_kernel(host)
-                .map_err(|why| eprintln!("fraig kernel {} dropped: {why}", host.name()))
-                .ok()
-        })
+        .filter_map(measured)
         .collect()
 }
 
-fn measure_fraig_kernel(host: IscasCircuit) -> Result<FraigRecord, String> {
+fn measure_fraig_kernel(host: IscasCircuit) -> Result<Record, String> {
     let a = host.generate_scaled(FRAIG_KERNEL_SCALE);
     let b = resynthesize(&a, &ResynthesisOptions::with_seed(1))
         .map_err(|e| format!("resynthesis failed: {e}"))?;
@@ -523,14 +382,13 @@ fn measure_fraig_kernel(host: IscasCircuit) -> Result<FraigRecord, String> {
             "paths disagree or did not prove equivalence (fraig {result:?}, gate-level {gate_result:?})"
         ));
     }
-    Ok(FraigRecord {
-        name: format!("fraig_eqv_{}", host.name()),
-        gate_level_ms,
-        fraig_ms,
-        speedup: gate_level_ms / fraig_ms.max(f64::MIN_POSITIVE),
-        sat_calls: stats.sat_calls as u64,
-        proved_merges: stats.proved_merges as u64,
-    })
+    Ok(Record::default()
+        .text("name", format!("fraig_eqv_{}", host.name()))
+        .real("gate_level_ms", gate_level_ms)
+        .real("fraig_ms", fraig_ms)
+        .real("speedup", gate_level_ms / fraig_ms.max(f64::MIN_POSITIVE))
+        .int("sat_calls", stats.sat_calls as u64)
+        .int("proved_merges", stats.proved_merges as u64))
 }
 
 /// Gate scale of the SCOPE feature kernels. The legacy engine rebuilds the
@@ -542,23 +400,18 @@ const SCOPE_KERNEL_SCALE: f64 = 0.25;
 /// Key bits of the SARLock instance the SCOPE kernels sweep.
 const SCOPE_KERNEL_KEY_BITS: u64 = 16;
 
-/// Measures the tracked SCOPE feature kernels: the full key sweep on a
-/// SARLock-locked ISCAS host (at [`SCOPE_KERNEL_SCALE`]), dataflow cofactor
-/// replay versus the legacy per-bit resynthesis engine, best-of-3 per path.
-pub fn measure_scope_kernels() -> Vec<ScopeRecord> {
-    [IscasCircuit::C2670, IscasCircuit::C5315]
-        .iter()
-        .filter_map(|&host| {
-            // As with the fraig kernels: a dropped record fails the CI gate
-            // as "missing", so the root cause must reach the job log.
-            measure_scope_kernel(host)
-                .map_err(|why| eprintln!("scope kernel {} dropped: {why}", host.name()))
-                .ok()
-        })
-        .collect()
+/// Measures the tracked SCOPE feature kernels (`scope`): the full key sweep
+/// on a SARLock-locked ISCAS host (at [`SCOPE_KERNEL_SCALE`],
+/// `key_bits` key bits), dataflow cofactor replay (`aig_ms`) versus the
+/// legacy per-bit resynthesis engine (`resynth_ms`), best-of-3 per path.
+/// `speedup` is their ratio; `matches` records whether both engines
+/// produced the identical key guess (the replay is exact by construction,
+/// so a mismatch is a correctness bug, not noise).
+pub fn measure_scope_kernels() -> Vec<Record> {
+    per_host("scope", measure_scope_kernel)
 }
 
-fn measure_scope_kernel(host: IscasCircuit) -> Result<ScopeRecord, String> {
+fn measure_scope_kernel(host: IscasCircuit) -> Result<Record, String> {
     let original = host.generate_scaled(SCOPE_KERNEL_SCALE);
     let spec = SchemeSpec::new("sarlock")
         .map_err(|e| format!("sarlock is not registered: {e}"))?
@@ -589,14 +442,13 @@ fn measure_scope_kernel(host: IscasCircuit) -> Result<ScopeRecord, String> {
         resynth_ms = resynth_ms.min(start.elapsed().as_secs_f64() * 1e3);
         resynth_guess = Some(run.outcome.as_guess(&names));
     }
-    Ok(ScopeRecord {
-        name: format!("scope_aig_{}", host.name()),
-        key_bits: SCOPE_KERNEL_KEY_BITS,
-        resynth_ms,
-        aig_ms,
-        speedup: resynth_ms / aig_ms.max(f64::MIN_POSITIVE),
-        matches: aig_guess == resynth_guess,
-    })
+    Ok(Record::default()
+        .text("name", format!("scope_aig_{}", host.name()))
+        .int("key_bits", SCOPE_KERNEL_KEY_BITS)
+        .real("resynth_ms", resynth_ms)
+        .real("aig_ms", aig_ms)
+        .real("speedup", resynth_ms / aig_ms.max(f64::MIN_POSITIVE))
+        .flag("matches", aig_guess == resynth_guess))
 }
 
 /// Gate scale of the DIP-engine kernels, matching the SCOPE kernels: a
@@ -607,25 +459,19 @@ const DIP_KERNEL_SCALE: f64 = 0.25;
 /// Key bits of the random-XOR-locked instance the DIP kernels attack.
 const DIP_KERNEL_KEY_BITS: usize = 16;
 
-/// Measures the tracked DIP-engine kernels: the CEGAR miter of a
-/// random-XOR-locked ISCAS host (at [`DIP_KERNEL_SCALE`]) encoded by the
-/// gate-level and the AIG engine (exact solver footprints straight from
-/// `DipEngine` construction), plus the full key-recovery loop of each
-/// engine timed best-of-3 for the iterations-per-second telemetry.
-pub fn measure_dip_kernels() -> Vec<DipAigRecord> {
-    [IscasCircuit::C2670, IscasCircuit::C5315]
-        .iter()
-        .filter_map(|&host| {
-            // As with the fraig/scope kernels: a dropped record fails the
-            // CI gate as "missing", so the root cause must reach the log.
-            measure_dip_kernel(host)
-                .map_err(|why| eprintln!("dip_aig kernel {} dropped: {why}", host.name()))
-                .ok()
-        })
-        .collect()
+/// Measures the tracked DIP-engine kernels (`dip_aig`): the CEGAR miter of
+/// a random-XOR-locked ISCAS host (at [`DIP_KERNEL_SCALE`], `key_bits` key
+/// bits) encoded by the gate-level and the AIG engine (exact solver
+/// footprints `gate_vars`/`gate_clauses`/`aig_vars`/`aig_clauses` straight
+/// from `DipEngine` construction, and their `var_reduction`/
+/// `clause_reduction`), plus the full key-recovery loop of each engine
+/// timed best-of-3 for the `gate_iters_per_sec`/`aig_iters_per_sec`
+/// telemetry.
+pub fn measure_dip_kernels() -> Vec<Record> {
+    per_host("dip_aig", measure_dip_kernel)
 }
 
-fn measure_dip_kernel(host: IscasCircuit) -> Result<DipAigRecord, String> {
+fn measure_dip_kernel(host: IscasCircuit) -> Result<Record, String> {
     let original = host.generate_scaled(DIP_KERNEL_SCALE);
     let secret = SecretKey::from_u64(0xA55A, DIP_KERNEL_KEY_BITS);
     let locked = RandomXorLocking::new(DIP_KERNEL_KEY_BITS, 0xd1f)
@@ -660,38 +506,48 @@ fn measure_dip_kernel(host: IscasCircuit) -> Result<DipAigRecord, String> {
     };
     let gate_iters_per_sec = iters_per_sec(DipEngineKind::Gate)?;
     let aig_iters_per_sec = iters_per_sec(DipEngineKind::Aig)?;
-    Ok(DipAigRecord {
-        name: format!("dip_aig_{}", host.name()),
-        key_bits: DIP_KERNEL_KEY_BITS as u64,
-        gate_vars: gate.vars as u64,
-        gate_clauses: gate.clauses as u64,
-        aig_vars: aig.vars as u64,
-        aig_clauses: aig.clauses as u64,
-        var_reduction: 1.0 - aig.vars as f64 / gate.vars.max(1) as f64,
-        clause_reduction: 1.0 - aig.clauses as f64 / gate.clauses.max(1) as f64,
-        gate_iters_per_sec,
-        aig_iters_per_sec,
-    })
+    Ok(Record::default()
+        .text("name", format!("dip_aig_{}", host.name()))
+        .int("key_bits", DIP_KERNEL_KEY_BITS as u64)
+        .int("gate_vars", gate.vars as u64)
+        .int("gate_clauses", gate.clauses as u64)
+        .int("aig_vars", aig.vars as u64)
+        .int("aig_clauses", aig.clauses as u64)
+        .real(
+            "var_reduction",
+            1.0 - aig.vars as f64 / gate.vars.max(1) as f64,
+        )
+        .real(
+            "clause_reduction",
+            1.0 - aig.clauses as f64 / gate.clauses.max(1) as f64,
+        )
+        .real("gate_iters_per_sec", gate_iters_per_sec)
+        .real("aig_iters_per_sec", aig_iters_per_sec))
 }
 
-/// Measures the tracked rewriting kernels: `Aig::rewrite` on every ISCAS
-/// host, exact live-node counts before and after. Pure structure — no
-/// timing, no solving.
-pub fn measure_rewrite_kernels() -> Vec<RewriteRecord> {
+/// Measures the tracked rewriting kernels (`rewrite`): `Aig::rewrite`
+/// (4-input cut enumeration + NPN-canonical optimal-subgraph replacement)
+/// on every ISCAS host — exact live AND-node counts (`nodes_before`/
+/// `nodes_after`), logic levels (`levels_before`/`levels_after`) and
+/// `node_reduction` (`1 - after / before`). Pure structure — no timing, no
+/// solving.
+pub fn measure_rewrite_kernels() -> Vec<Record> {
     IscasCircuit::ALL
         .iter()
         .map(|&host| {
             let aig = Aig::from_circuit(&host.generate()).expect("ISCAS hosts are acyclic");
             let before = aig.stats();
             let after = aig.rewrite().stats();
-            RewriteRecord {
-                name: format!("rewrite_{}", host.name()),
-                nodes_before: before.ands as u64,
-                nodes_after: after.ands as u64,
-                levels_before: before.levels as u64,
-                levels_after: after.levels as u64,
-                node_reduction: 1.0 - after.ands as f64 / before.ands.max(1) as f64,
-            }
+            Record::default()
+                .text("name", format!("rewrite_{}", host.name()))
+                .int("nodes_before", before.ands as u64)
+                .int("nodes_after", after.ands as u64)
+                .int("levels_before", before.levels as u64)
+                .int("levels_after", after.levels as u64)
+                .real(
+                    "node_reduction",
+                    1.0 - after.ands as f64 / before.ands.max(1) as f64,
+                )
         })
         .collect()
 }
@@ -706,20 +562,24 @@ const PORTFOLIO_KERNEL_SCALE: f64 = 0.25;
 /// a dropped (and logged) record instead of a stalled CI job.
 const PORTFOLIO_KERNEL_BUDGET: Duration = Duration::from_secs(60);
 
-/// Measures the tracked portfolio-race kernels: on each tracked scheme ×
-/// host cell, the default-member portfolio race against each member run
-/// solo. Solo members run as single-member portfolios so their wall
-/// includes the identical SAT verification of the claimed key — the
-/// overhead ratio compares like against like.
-pub fn measure_portfolio_kernels() -> Vec<PortfolioRecord> {
+/// Measures the tracked portfolio-race kernels (`portfolio`): on each
+/// tracked scheme × host cell, the default-member portfolio race
+/// (`members`, `winner`, whether its claim was SAT-`verified`,
+/// `portfolio_ms`) against each member run solo (`best_member_ms` and
+/// `worst_member_ms` over the solos that produced a verified exact key).
+/// Solo members run as single-member portfolios so their wall includes the
+/// identical SAT verification of the claimed key — the `overhead` ratio
+/// (race over best solo) compares like against like, all walls from the
+/// same process on the same machine.
+pub fn measure_portfolio_kernels() -> Vec<Record> {
     [
         (IscasCircuit::C2670, "sarlock", 8u64),
         (IscasCircuit::C2670, "rll", 16u64),
     ]
     .iter()
     .filter_map(|&(host, scheme, key_bits)| {
-        // As with the fraig/scope kernels: a dropped record fails the CI
-        // gate as "missing", so the root cause must reach the job log.
+        // As with `per_host`: the root cause of a dropped record must reach
+        // the job log.
         measure_portfolio_kernel(host, scheme, key_bits)
             .map_err(|why| eprintln!("portfolio kernel {}_{scheme} dropped: {why}", host.name()))
             .ok()
@@ -759,7 +619,7 @@ fn measure_portfolio_kernel(
     host: IscasCircuit,
     scheme: &str,
     key_bits: u64,
-) -> Result<PortfolioRecord, String> {
+) -> Result<Record, String> {
     let original = host.generate_scaled(PORTFOLIO_KERNEL_SCALE);
     let spec = SchemeSpec::new(scheme)
         .map_err(|e| format!("{scheme} is not registered: {e}"))?
@@ -808,24 +668,29 @@ fn measure_portfolio_kernel(
     if !best_member_ms.is_finite() {
         return Err("no solo member produced a verified exact key".to_string());
     }
-    Ok(PortfolioRecord {
-        name: format!("portfolio_{}_{scheme}", host.name()),
-        members,
-        winner,
-        verified,
-        portfolio_ms,
-        best_member_ms,
-        worst_member_ms,
-        overhead: portfolio_ms / best_member_ms.max(f64::MIN_POSITIVE),
-    })
+    Ok(Record::default()
+        .text("name", format!("portfolio_{}_{scheme}", host.name()))
+        .list("members", members)
+        .text("winner", winner)
+        .flag("verified", verified)
+        .real("portfolio_ms", portfolio_ms)
+        .real("best_member_ms", best_member_ms)
+        .real("worst_member_ms", worst_member_ms)
+        .real(
+            "overhead",
+            portfolio_ms / best_member_ms.max(f64::MIN_POSITIVE),
+        ))
 }
 
-/// Measures the tracked parallel-fraig kernels: the fraig sweep of each
-/// full-scale ISCAS host against its resynthesised variant, 1 worker versus
-/// [`FRAIG_PAR_WORKERS`] (capped by the host's parallelism), best-of-3 on
-/// the sweep-stage wall alone. Both widths must agree on the verdict and on
-/// the proved-merge count for the record to count.
-pub fn measure_fraig_par_kernels() -> Vec<FraigParRecord> {
+/// Measures the tracked parallel-fraig kernels (`fraig_par`): the fraig
+/// sweep of each full-scale ISCAS host against its resynthesised variant,
+/// 1 worker (`seq_sweep_ms`) versus [`FRAIG_PAR_WORKERS`] capped by the
+/// host's parallelism (`workers`, `par_sweep_ms`), best-of-3 on the
+/// sweep-stage wall alone; `speedup` is their ratio. `verdicts_match` and
+/// `merges_match` record whether both widths returned the same verdict and
+/// proved-merge count (the sweep is worker-count-invariant by construction,
+/// so a mismatch is a correctness bug, not noise).
+pub fn measure_fraig_par_kernels() -> Vec<Record> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -836,17 +701,10 @@ pub fn measure_fraig_par_kernels() -> Vec<FraigParRecord> {
              the >= {FRAIG_PAR_SPEEDUP_FLOOR}x gate will be skipped"
         );
     }
-    [IscasCircuit::C2670, IscasCircuit::C5315]
-        .iter()
-        .filter_map(|&host| {
-            measure_fraig_par_kernel(host, workers)
-                .map_err(|why| eprintln!("fraig_par kernel {} dropped: {why}", host.name()))
-                .ok()
-        })
-        .collect()
+    per_host("fraig_par", |host| measure_fraig_par_kernel(host, workers))
 }
 
-fn measure_fraig_par_kernel(host: IscasCircuit, workers: usize) -> Result<FraigParRecord, String> {
+fn measure_fraig_par_kernel(host: IscasCircuit, workers: usize) -> Result<Record, String> {
     // Full scale, unlike the fraig speedup kernels: there is no monolithic
     // gate-level baseline to wait for here, and the sweep needs enough
     // candidate classes for the partition to mean anything.
@@ -870,22 +728,26 @@ fn measure_fraig_par_kernel(host: IscasCircuit, workers: usize) -> Result<FraigP
     if !seq_equivalent {
         return Err("the sequential sweep did not prove equivalence".to_string());
     }
-    Ok(FraigParRecord {
-        name: format!("fraig_par_{}", host.name()),
-        workers: workers as u64,
-        seq_sweep_ms,
-        par_sweep_ms,
-        speedup: seq_sweep_ms / par_sweep_ms.max(f64::MIN_POSITIVE),
-        verdicts_match: seq_equivalent == par_equivalent,
-        merges_match: seq_merges == par_merges,
-    })
+    Ok(Record::default()
+        .text("name", format!("fraig_par_{}", host.name()))
+        .int("workers", workers as u64)
+        .real("seq_sweep_ms", seq_sweep_ms)
+        .real("par_sweep_ms", par_sweep_ms)
+        .real(
+            "speedup",
+            seq_sweep_ms / par_sweep_ms.max(f64::MIN_POSITIVE),
+        )
+        .flag("verdicts_match", seq_equivalent == par_equivalent)
+        .flag("merges_match", seq_merges == par_merges))
 }
 
-/// Measures the tracked scheduler kernel: the full attack matrix dispatched
-/// once through the static per-worker split and once through the
-/// work-stealing scheduler, on identical pre-built cases. Locking and
-/// synthesis happen before the clock starts, so the makespans compare pure
-/// dispatch + attack time.
+/// Measures the tracked scheduler kernel (`scheduler`): the full attack
+/// matrix (`jobs` jobs on `workers` workers) dispatched once through the
+/// static per-worker split (`static_ms`) and once through the work-stealing
+/// scheduler (`scheduled_ms`, `steals`, `mean_queue_wait_ms`), on identical
+/// pre-built cases. Locking and synthesis happen before the clock starts,
+/// so the makespans compare pure dispatch + attack time, and their ratio
+/// `speedup` is machine-portable.
 ///
 /// # Errors
 ///
@@ -894,7 +756,7 @@ fn measure_fraig_par_kernel(host: IscasCircuit, workers: usize) -> Result<FraigP
 pub fn measure_scheduler_kernels(
     attack_names: &[String],
     options: &ExperimentOptions,
-) -> Result<Vec<SchedulerRecord>, String> {
+) -> Result<Vec<Record>, String> {
     let attacks = build_attacks(attack_names)?;
     // Pin the worker count: an unbounded `Harness::new()` made the record's
     // speedup depend on the runner's core count, and on wide machines the
@@ -935,16 +797,15 @@ pub fn measure_scheduler_kernels(
     } else {
         waits.iter().sum::<f64>() / waits.len() as f64
     };
-    Ok(vec![SchedulerRecord {
-        name: "scheduler_matrix".to_string(),
-        jobs: static_rows.len() as u64,
-        workers: stats.workers as u64,
-        steals: stats.steals as u64,
-        static_ms,
-        scheduled_ms,
-        speedup: static_ms / scheduled_ms.max(f64::MIN_POSITIVE),
-        mean_queue_wait_ms,
-    }])
+    Ok(vec![Record::default()
+        .text("name", "scheduler_matrix")
+        .int("jobs", static_rows.len() as u64)
+        .int("workers", stats.workers as u64)
+        .int("steals", stats.steals as u64)
+        .real("static_ms", static_ms)
+        .real("scheduled_ms", scheduled_ms)
+        .real("speedup", static_ms / scheduled_ms.max(f64::MIN_POSITIVE))
+        .real("mean_queue_wait_ms", mean_queue_wait_ms)])
 }
 
 /// Builds the named attacks from the registry, or reports the first
@@ -963,7 +824,9 @@ fn build_attacks(attack_names: &[String]) -> Result<Vec<Box<dyn kratt_attacks::A
 }
 
 /// Runs the scaled-down attack matrix (the same cases as the `matrix`
-/// binary) and flattens the rows into [`AttackRecord`]s.
+/// binary) and flattens the rows into `attacks` records: `attack`, `host`
+/// (the case name), `outcome` kind (`"exact-key"`, `"out-of-budget"`,
+/// `"error: ..."`), `wall_ms`, `iterations` and `oracle_queries`.
 ///
 /// # Errors
 ///
@@ -972,29 +835,29 @@ fn build_attacks(attack_names: &[String]) -> Result<Vec<Box<dyn kratt_attacks::A
 pub fn measure_attack_matrix(
     attack_names: &[String],
     options: &ExperimentOptions,
-) -> Result<Vec<AttackRecord>, String> {
+) -> Result<Vec<Record>, String> {
     let attacks = build_attacks(attack_names)?;
     let harness = Harness::new();
     let (_cases, rows) = crate::run_attack_matrix(&harness, &attacks, options);
     Ok(rows
         .into_iter()
-        .map(|row| match row.result {
-            Ok(run) => AttackRecord {
-                attack: row.attack,
-                host: row.case,
-                outcome: run.outcome.kind().to_string(),
-                wall_ms: run.runtime.as_secs_f64() * 1e3,
-                iterations: run.iterations as u64,
-                oracle_queries: run.oracle_queries,
-            },
-            Err(e) => AttackRecord {
-                attack: row.attack,
-                host: row.case,
-                outcome: format!("error: {e}"),
-                wall_ms: 0.0,
-                iterations: 0,
-                oracle_queries: 0,
-            },
+        .map(|row| {
+            let (outcome, wall_ms, iterations, oracle_queries) = match row.result {
+                Ok(run) => (
+                    run.outcome.kind().to_string(),
+                    run.runtime.as_secs_f64() * 1e3,
+                    run.iterations as u64,
+                    run.oracle_queries,
+                ),
+                Err(e) => (format!("error: {e}"), 0.0, 0, 0),
+            };
+            Record::default()
+                .text("attack", row.attack)
+                .text("host", row.case)
+                .text("outcome", outcome)
+                .real("wall_ms", wall_ms)
+                .int("iterations", iterations)
+                .int("oracle_queries", oracle_queries)
         })
         .collect())
 }
@@ -1021,16 +884,19 @@ pub fn run_bench_suite(
             .unwrap_or(1),
         scale: options.scale,
         budget_secs: options.baseline_budget.as_secs_f64(),
-        kernels: measure_sim_kernels(),
-        cnf: measure_cnf_kernels(),
-        fraig: measure_fraig_kernels(),
-        scope: measure_scope_kernels(),
-        scheduler: measure_scheduler_kernels(attack_names, options)?,
-        dip_aig: measure_dip_kernels(),
-        rewrite: measure_rewrite_kernels(),
-        portfolio: measure_portfolio_kernels(),
-        fraig_par: measure_fraig_par_kernels(),
-        attacks: measure_attack_matrix(attack_names, options)?,
+        // In `SECTIONS` order.
+        sections: [
+            measure_sim_kernels(),
+            measure_cnf_kernels(),
+            measure_fraig_kernels(),
+            measure_scope_kernels(),
+            measure_scheduler_kernels(attack_names, options)?,
+            measure_dip_kernels(),
+            measure_rewrite_kernels(),
+            measure_portfolio_kernels(),
+            measure_fraig_par_kernels(),
+            measure_attack_matrix(attack_names, options)?,
+        ],
     })
 }
 
@@ -1056,221 +922,33 @@ pub fn tracked_attacks_from_env() -> Vec<String> {
 }
 
 impl BenchResults {
-    /// Renders the results as pretty-printed JSON. Hand-rolled because the
-    /// workspace is offline (no serde); [`BenchResults::from_json`] parses
-    /// exactly this shape back.
+    /// The records of the section named `name` (one of [`SECTIONS`]).
+    pub fn section(&self, name: &str) -> &[Record] {
+        &self.sections[section_index(name)]
+    }
+
+    /// Renders the results as pretty-printed JSON, one record per line;
+    /// [`BenchResults::from_json`] parses exactly this shape back.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"os\": {},", json_string(&self.os));
-        let _ = writeln!(out, "  \"cpus\": {},", self.cpus);
-        let _ = writeln!(out, "  \"scale\": {},", json_number(self.scale));
-        let _ = writeln!(out, "  \"budget_secs\": {},", json_number(self.budget_secs));
-        out.push_str("  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"scalar_ms\": {}, \"packed_ms\": {}, \"speedup\": {}}}",
-                json_string(&k.name),
-                json_number(k.scalar_ms),
-                json_number(k.packed_ms),
-                json_number(k.speedup)
-            );
-            out.push_str(if i + 1 < self.kernels.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        let mut out = format!(
+            "{{\n  \"schema\": {},\n  \"os\": {},\n  \"cpus\": {},\n  \"scale\": {},\n  \
+             \"budget_secs\": {},\n",
+            self.schema,
+            json::quote(&self.os),
+            self.cpus,
+            render(&Value::Real(self.scale)),
+            render(&Value::Real(self.budget_secs))
+        );
+        for (i, (section, records)) in SECTIONS.iter().zip(&self.sections).enumerate() {
+            let _ = writeln!(out, "  \"{}\": [", section.name);
+            for (j, record) in records.iter().enumerate() {
+                let comma = if j + 1 < records.len() { "," } else { "" };
+                let _ = writeln!(out, "    {}{comma}", record.to_json());
+            }
+            let comma = if i + 1 < SECTIONS.len() { "," } else { "" };
+            let _ = writeln!(out, "  ]{comma}");
         }
-        out.push_str("  ],\n  \"cnf\": [\n");
-        for (i, k) in self.cnf.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"gate_vars\": {}, \"gate_clauses\": {}, \"aig_vars\": {}, \
-                 \"aig_clauses\": {}, \"var_reduction\": {}, \"clause_reduction\": {}}}",
-                json_string(&k.name),
-                k.gate_vars,
-                k.gate_clauses,
-                k.aig_vars,
-                k.aig_clauses,
-                json_number(k.var_reduction),
-                json_number(k.clause_reduction)
-            );
-            out.push_str(if i + 1 < self.cnf.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"fraig\": [\n");
-        for (i, k) in self.fraig.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"gate_level_ms\": {}, \"fraig_ms\": {}, \"speedup\": {}, \
-                 \"sat_calls\": {}, \"proved_merges\": {}}}",
-                json_string(&k.name),
-                json_number(k.gate_level_ms),
-                json_number(k.fraig_ms),
-                json_number(k.speedup),
-                k.sat_calls,
-                k.proved_merges
-            );
-            out.push_str(if i + 1 < self.fraig.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"scope\": [\n");
-        for (i, k) in self.scope.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"key_bits\": {}, \"resynth_ms\": {}, \"aig_ms\": {}, \
-                 \"speedup\": {}, \"matches\": {}}}",
-                json_string(&k.name),
-                k.key_bits,
-                json_number(k.resynth_ms),
-                json_number(k.aig_ms),
-                json_number(k.speedup),
-                k.matches
-            );
-            out.push_str(if i + 1 < self.scope.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"scheduler\": [\n");
-        for (i, k) in self.scheduler.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"jobs\": {}, \"workers\": {}, \"steals\": {}, \
-                 \"static_ms\": {}, \"scheduled_ms\": {}, \"speedup\": {}, \
-                 \"mean_queue_wait_ms\": {}}}",
-                json_string(&k.name),
-                k.jobs,
-                k.workers,
-                k.steals,
-                json_number(k.static_ms),
-                json_number(k.scheduled_ms),
-                json_number(k.speedup),
-                json_number(k.mean_queue_wait_ms)
-            );
-            out.push_str(if i + 1 < self.scheduler.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"dip_aig\": [\n");
-        for (i, k) in self.dip_aig.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"key_bits\": {}, \"gate_vars\": {}, \"gate_clauses\": {}, \
-                 \"aig_vars\": {}, \"aig_clauses\": {}, \"var_reduction\": {}, \
-                 \"clause_reduction\": {}, \"gate_iters_per_sec\": {}, \
-                 \"aig_iters_per_sec\": {}}}",
-                json_string(&k.name),
-                k.key_bits,
-                k.gate_vars,
-                k.gate_clauses,
-                k.aig_vars,
-                k.aig_clauses,
-                json_number(k.var_reduction),
-                json_number(k.clause_reduction),
-                json_number(k.gate_iters_per_sec),
-                json_number(k.aig_iters_per_sec)
-            );
-            out.push_str(if i + 1 < self.dip_aig.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"rewrite\": [\n");
-        for (i, k) in self.rewrite.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"nodes_before\": {}, \"nodes_after\": {}, \
-                 \"levels_before\": {}, \"levels_after\": {}, \"node_reduction\": {}}}",
-                json_string(&k.name),
-                k.nodes_before,
-                k.nodes_after,
-                k.levels_before,
-                k.levels_after,
-                json_number(k.node_reduction)
-            );
-            out.push_str(if i + 1 < self.rewrite.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"portfolio\": [\n");
-        for (i, k) in self.portfolio.iter().enumerate() {
-            let members = k
-                .members
-                .iter()
-                .map(|m| json_string(m))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"members\": [{members}], \"winner\": {}, \
-                 \"verified\": {}, \"portfolio_ms\": {}, \"best_member_ms\": {}, \
-                 \"worst_member_ms\": {}, \"overhead\": {}}}",
-                json_string(&k.name),
-                json_string(&k.winner),
-                k.verified,
-                json_number(k.portfolio_ms),
-                json_number(k.best_member_ms),
-                json_number(k.worst_member_ms),
-                json_number(k.overhead)
-            );
-            out.push_str(if i + 1 < self.portfolio.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"fraig_par\": [\n");
-        for (i, k) in self.fraig_par.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"workers\": {}, \"seq_sweep_ms\": {}, \
-                 \"par_sweep_ms\": {}, \"speedup\": {}, \"verdicts_match\": {}, \
-                 \"merges_match\": {}}}",
-                json_string(&k.name),
-                k.workers,
-                json_number(k.seq_sweep_ms),
-                json_number(k.par_sweep_ms),
-                json_number(k.speedup),
-                k.verdicts_match,
-                k.merges_match
-            );
-            out.push_str(if i + 1 < self.fraig_par.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"attacks\": [\n");
-        for (i, a) in self.attacks.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"attack\": {}, \"host\": {}, \"outcome\": {}, \"wall_ms\": {}, \
-                 \"iterations\": {}, \"oracle_queries\": {}}}",
-                json_string(&a.attack),
-                json_string(&a.host),
-                json_string(&a.outcome),
-                json_number(a.wall_ms),
-                a.iterations,
-                a.oracle_queries
-            );
-            out.push_str(if i + 1 < self.attacks.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
+        out.push_str("}\n");
         out
     }
 
@@ -1284,292 +962,325 @@ impl BenchResults {
     }
 
     /// Parses a `BENCH_*.json` file produced by [`BenchResults::to_json`].
+    /// Sections a file predates (all but `kernels` and `attacks`) parse as
+    /// empty: an empty section simply tracks nothing.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed construct.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let top = value.as_object()?;
-        let kernels = top
-            .get("kernels")
-            .ok_or("missing `kernels`")?
-            .as_array()?
-            .iter()
-            .map(|k| {
-                let k = k.as_object()?;
-                Ok(KernelRecord {
-                    name: k.get("name").ok_or("missing kernel `name`")?.as_str()?,
-                    scalar_ms: k
-                        .get("scalar_ms")
-                        .ok_or("missing `scalar_ms`")?
-                        .as_number()?,
-                    packed_ms: k
-                        .get("packed_ms")
-                        .ok_or("missing `packed_ms`")?
-                        .as_number()?,
-                    speedup: k.get("speedup").ok_or("missing `speedup`")?.as_number()?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let cnf = match top.get("cnf") {
-            // Absent in schema-1 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(CnfRecord {
-                        name: k.get("name").ok_or("missing cnf `name`")?.as_str()?,
-                        gate_vars: number("gate_vars")? as u64,
-                        gate_clauses: number("gate_clauses")? as u64,
-                        aig_vars: number("aig_vars")? as u64,
-                        aig_clauses: number("aig_clauses")? as u64,
-                        var_reduction: number("var_reduction")?,
-                        clause_reduction: number("clause_reduction")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
+        let top = json::parse(text)?;
+        let field = |name: &str| top.get(name).ok_or(format!("missing `{name}`"));
+        let number = |name: &str| {
+            field(name)?
+                .as_f64()
+                .ok_or(format!("`{name}` is not a number"))
         };
-        let fraig = match top.get("fraig") {
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(FraigRecord {
-                        name: k.get("name").ok_or("missing fraig `name`")?.as_str()?,
-                        gate_level_ms: number("gate_level_ms")?,
-                        fraig_ms: number("fraig_ms")?,
-                        speedup: number("speedup")?,
-                        sat_calls: number("sat_calls")? as u64,
-                        proved_merges: number("proved_merges")? as u64,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let scope = match top.get("scope") {
-            // Absent in schema-2 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(ScopeRecord {
-                        name: k.get("name").ok_or("missing scope `name`")?.as_str()?,
-                        key_bits: number("key_bits")? as u64,
-                        resynth_ms: number("resynth_ms")?,
-                        aig_ms: number("aig_ms")?,
-                        speedup: number("speedup")?,
-                        matches: k.get("matches").ok_or("missing `matches`")?.as_bool()?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let scheduler = match top.get("scheduler") {
-            // Absent in schema-3 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(SchedulerRecord {
-                        name: k.get("name").ok_or("missing scheduler `name`")?.as_str()?,
-                        jobs: number("jobs")? as u64,
-                        workers: number("workers")? as u64,
-                        steals: number("steals")? as u64,
-                        static_ms: number("static_ms")?,
-                        scheduled_ms: number("scheduled_ms")?,
-                        speedup: number("speedup")?,
-                        mean_queue_wait_ms: number("mean_queue_wait_ms")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let dip_aig = match top.get("dip_aig") {
-            // Absent in schema-4 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(DipAigRecord {
-                        name: k.get("name").ok_or("missing dip_aig `name`")?.as_str()?,
-                        key_bits: number("key_bits")? as u64,
-                        gate_vars: number("gate_vars")? as u64,
-                        gate_clauses: number("gate_clauses")? as u64,
-                        aig_vars: number("aig_vars")? as u64,
-                        aig_clauses: number("aig_clauses")? as u64,
-                        var_reduction: number("var_reduction")?,
-                        clause_reduction: number("clause_reduction")?,
-                        gate_iters_per_sec: number("gate_iters_per_sec")?,
-                        aig_iters_per_sec: number("aig_iters_per_sec")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let rewrite = match top.get("rewrite") {
-            // Absent in schema-4 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(RewriteRecord {
-                        name: k.get("name").ok_or("missing rewrite `name`")?.as_str()?,
-                        nodes_before: number("nodes_before")? as u64,
-                        nodes_after: number("nodes_after")? as u64,
-                        levels_before: number("levels_before")? as u64,
-                        levels_after: number("levels_after")? as u64,
-                        node_reduction: number("node_reduction")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let portfolio = match top.get("portfolio") {
-            // Absent in schema-5 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(PortfolioRecord {
-                        name: k.get("name").ok_or("missing portfolio `name`")?.as_str()?,
-                        members: k
-                            .get("members")
-                            .ok_or("missing `members`")?
-                            .as_array()?
-                            .iter()
-                            .map(|m| m.as_str())
-                            .collect::<Result<_, String>>()?,
-                        winner: k.get("winner").ok_or("missing `winner`")?.as_str()?,
-                        verified: k.get("verified").ok_or("missing `verified`")?.as_bool()?,
-                        portfolio_ms: number("portfolio_ms")?,
-                        best_member_ms: number("best_member_ms")?,
-                        worst_member_ms: number("worst_member_ms")?,
-                        overhead: number("overhead")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let fraig_par = match top.get("fraig_par") {
-            // Absent in schema-5 files; an empty set simply tracks nothing.
-            None => Vec::new(),
-            Some(value) => value
-                .as_array()?
-                .iter()
-                .map(|k| {
-                    let k = k.as_object()?;
-                    let number = |field: &str| -> Result<f64, String> {
-                        k.get(field)
-                            .ok_or(format!("missing `{field}`"))?
-                            .as_number()
-                    };
-                    Ok(FraigParRecord {
-                        name: k.get("name").ok_or("missing fraig_par `name`")?.as_str()?,
-                        workers: number("workers")? as u64,
-                        seq_sweep_ms: number("seq_sweep_ms")?,
-                        par_sweep_ms: number("par_sweep_ms")?,
-                        speedup: number("speedup")?,
-                        verdicts_match: k
-                            .get("verdicts_match")
-                            .ok_or("missing `verdicts_match`")?
-                            .as_bool()?,
-                        merges_match: k
-                            .get("merges_match")
-                            .ok_or("missing `merges_match`")?
-                            .as_bool()?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let attacks = top
-            .get("attacks")
-            .ok_or("missing `attacks`")?
-            .as_array()?
-            .iter()
-            .map(|a| {
-                let a = a.as_object()?;
-                Ok(AttackRecord {
-                    attack: a.get("attack").ok_or("missing `attack`")?.as_str()?,
-                    host: a.get("host").ok_or("missing `host`")?.as_str()?,
-                    outcome: a.get("outcome").ok_or("missing `outcome`")?.as_str()?,
-                    wall_ms: a.get("wall_ms").ok_or("missing `wall_ms`")?.as_number()?,
-                    iterations: a
-                        .get("iterations")
-                        .ok_or("missing `iterations`")?
-                        .as_number()? as u64,
-                    oracle_queries: a
-                        .get("oracle_queries")
-                        .ok_or("missing `oracle_queries`")?
-                        .as_number()? as u64,
-                })
-            })
-            .collect::<Result<_, String>>()?;
+        let mut sections: [Vec<Record>; SECTIONS.len()] = Default::default();
+        for (section, records) in SECTIONS.iter().zip(&mut sections) {
+            let items = match top.get(section.name) {
+                None if !section.required => continue,
+                Some(Value::Array(items)) => items,
+                _ => return Err(format!("`{}` is not an array of records", section.name)),
+            };
+            for item in items {
+                let record = match item {
+                    Value::Object(fields) if fields.iter().all(|(_, v)| is_field(v)) => {
+                        Record(fields.clone())
+                    }
+                    _ => return Err(format!("{}: malformed record {item:?}", section.name)),
+                };
+                for key in section.key {
+                    record
+                        .text_of(key)
+                        .map_err(|e| format!("{}: {e}", section.name))?;
+                }
+                records.push(record);
+            }
+        }
         Ok(BenchResults {
-            schema: top.get("schema").ok_or("missing `schema`")?.as_number()? as u64,
-            os: top.get("os").ok_or("missing `os`")?.as_str()?,
-            cpus: top.get("cpus").ok_or("missing `cpus`")?.as_number()? as u64,
-            scale: top.get("scale").ok_or("missing `scale`")?.as_number()?,
-            budget_secs: top
-                .get("budget_secs")
-                .ok_or("missing `budget_secs`")?
-                .as_number()?,
-            kernels,
-            cnf,
-            fraig,
-            scope,
-            scheduler,
-            dip_aig,
-            rewrite,
-            portfolio,
-            fraig_par,
-            attacks,
+            schema: number("schema")? as u64,
+            os: field("os")?
+                .as_str()
+                .ok_or("`os` is not a string")?
+                .to_string(),
+            cpus: number("cpus")? as u64,
+            scale: number("scale")?,
+            budget_secs: number("budget_secs")?,
+            sections,
         })
     }
 }
+
+/// Whether `value` fits a record field: a scalar other than `null`, or a
+/// list of strings.
+fn is_field(value: &Value) -> bool {
+    match value {
+        Value::Array(items) => items.iter().all(|item| item.as_str().is_some()),
+        Value::Null | Value::Object(_) => false,
+        _ => true,
+    }
+}
+
+fn section_index(name: &str) -> usize {
+    let index = SECTIONS.iter().position(|section| section.name == name);
+    index.unwrap_or_else(|| panic!("unknown bench section `{name}`"))
+}
+
+/// One section of `BENCH_*.json`: how its records are matched across runs
+/// and the gates [`compare`] applies to them.
+pub struct Section {
+    /// JSON key of the record list.
+    pub name: &'static str,
+    /// Subject prefix of the section's regressions.
+    label: &'static str,
+    /// What a record is, for the missing-record failure.
+    noun: &'static str,
+    /// Whether every file has the section (older schemas lack the others).
+    required: bool,
+    /// Fields identifying a record; the subject joins them with " on ".
+    key: &'static [&'static str],
+    /// Evaluated in order on each baseline record and its current match.
+    gates: &'static [Gate],
+}
+
+impl Section {
+    const fn new(name: &'static str, label: &'static str, noun: &'static str) -> Self {
+        Section {
+            name,
+            label,
+            noun,
+            required: false,
+            key: &["name"],
+            gates: &[],
+        }
+    }
+
+    const fn required(mut self, key: &'static [&'static str]) -> Self {
+        self.required = true;
+        self.key = key;
+        self
+    }
+
+    const fn gates(mut self, gates: &'static [Gate]) -> Self {
+        self.gates = gates;
+        self
+    }
+}
+
+/// One gate: a check of one metric of a matched record pair, with the
+/// conditions that arm or skip it and the policy that makes a miss fatal.
+struct Gate {
+    /// Field the check reads.
+    metric: &'static str,
+    /// How the metric reads in a failure (the whole message for flags).
+    what: &'static str,
+    /// Suffix of the metric's value: `x`, `%`, ` ms`, ` iters/s`, ``.
+    unit: &'static str,
+    check: Check,
+    /// When the gate applies at all (silently off otherwise).
+    arm: Arm,
+    /// When the gate is skipped, and whether the skip is logged.
+    skip: Skip,
+    fatal: Fatal,
+    /// A miss ends the record's evaluation: later gates would restate it.
+    stop: bool,
+}
+
+#[derive(Clone, Copy)]
+enum Check {
+    /// Baseline-relative speed ratio: `cur >= base / (1 + tolerance)`.
+    Ratio,
+    /// Baseline-relative exact reduction, `cur >= base * (1 - tolerance)`,
+    /// combined with an absolute floor as [`FloorArm`] says.
+    Reduction(f64, FloorArm),
+    AtLeast(f64),
+    /// At least the caller's `min_speedup`.
+    MinSpeedup,
+    AtMost(f64),
+    /// Must not exceed the named field (described by the second string).
+    NotAbove(&'static str, &'static str),
+    /// A flag that must be true; `what` is the whole failure message.
+    Holds,
+    /// Text that must equal the baseline's.
+    Unchanged,
+    /// Work-counter growth: `cur <= ceil(base * (1 + tolerance)) + 2`.
+    Growth,
+    /// Over the section's current records, `1 - sum(field) / sum(metric)`
+    /// must clear the floor.
+    SumReduction(&'static str, f64),
+}
+
+#[derive(Clone, Copy)]
+enum FloorArm {
+    /// A baseline above 0.95 means the miter folded structurally (the two
+    /// halves hashed to one graph): the record then measures structural
+    /// identity, not encoder quality, and gates on the floor alone.
+    Folded,
+    /// As [`FloorArm::Folded`], and the floor also raises the relative bound.
+    Raised,
+    /// The floor raises the relative bound only where the baseline clears
+    /// it: a legitimately zero baseline must pass its own self-compare.
+    WhereBaseClears,
+}
+
+#[derive(Clone, Copy)]
+enum Arm {
+    Armed,
+    /// The baseline's flag holds: a flag that never held cannot regress.
+    BaseHolds,
+    /// The baseline record ran on more than one worker (the named field):
+    /// a single-worker baseline recorded a vacuous ratio.
+    BaseParallel(&'static str),
+    /// The current record's first field exceeds its second.
+    CurAbove(&'static str, &'static str),
+}
+
+#[derive(Clone, Copy)]
+enum Skip {
+    Never,
+    /// The current record ran on one worker (the named field); the reason
+    /// is logged once per record.
+    SingleWorker(&'static str, &'static str),
+    /// The current host has one CPU; the reason is logged once per record.
+    SingleCpu(&'static str),
+    /// The baseline row ran out of budget: its telemetry is whatever the
+    /// baseline host's clock allowed, and succeeding now is an improvement.
+    BudgetBound,
+}
+
+#[derive(Clone, Copy)]
+enum Fatal {
+    Always,
+    /// Fatal on the baseline's OS, drift elsewhere.
+    SameOs,
+    /// Fatal only under `strict_attacks`.
+    Strict,
+    /// A diagnosis aid.
+    Never,
+    /// Fatal where the named field reaches the tracked width, a note below.
+    FullWidth(&'static str, usize),
+}
+
+/// Renders a gated value: `%` shows a share in percent, any other unit
+/// suffix follows the number.
+fn show(value: f64, unit: &str) -> String {
+    match unit {
+        "%" => format!("{:.1}%", value * 100.0),
+        "" | " ms" => format!("{value:.0}{unit}"),
+        _ => format!("{value:.2}{unit}"),
+    }
+}
+
+const fn gate(metric: &'static str, what: &'static str, unit: &'static str, check: Check) -> Gate {
+    Gate {
+        metric,
+        what,
+        unit,
+        check,
+        arm: Arm::Armed,
+        skip: Skip::Never,
+        fatal: Fatal::Always,
+        stop: false,
+    }
+}
+
+/// A baseline-relative ratio: fatal on the baseline's OS, drift elsewhere.
+const fn ratio(metric: &'static str, what: &'static str, unit: &'static str) -> Gate {
+    Gate {
+        fatal: Fatal::SameOs,
+        ..gate(metric, what, unit, Check::Ratio)
+    }
+}
+
+/// The sections of `BENCH_*.json` in file order, with every gate
+/// [`compare`] applies — this table is the whole bench gate policy.
+/// Timing ratios come from one process on one machine, so they are
+/// machine-portable; exact counts (CNF, DIP-miter and rewrite reductions)
+/// gate deterministically everywhere.
+#[rustfmt::skip]
+pub const SECTIONS: [Section; 10] = {
+    use Arm::*;
+    use Check::*;
+    use FloorArm::*;
+    const SERIAL_SCHEDULER: Skip = Skip::SingleWorker("workers",
+        "the static-split gate is skipped: work stealing cannot be exercised without parallelism");
+    const SERIAL_RACE: Skip = Skip::SingleCpu(
+        "the overhead gate is skipped: racing members can only timeslice without parallelism");
+    const SERIAL_SWEEP: Skip = Skip::SingleWorker("workers",
+        "the speedup gate is skipped: the sweep cannot be widened without parallelism");
+    const BUDGET_BOUND: Skip = Skip::BudgetBound;
+    const CNF: f64 = CNF_REDUCTION_FLOOR;
+    const DIP: f64 = DIP_ENCODE_REDUCTION_FLOOR;
+    [
+        Section::new("kernels", "kernel", "kernel").required(&["name"]).gates(&[
+            // Single-threaded measurement: only a different OS, not a
+            // different CPU count, disarms the ratio.
+            ratio("speedup", "packed speedup", "x"),
+            gate("speedup", "packed speedup", "x", MinSpeedup),
+        ]),
+        Section::new("cnf", "cnf", "CNF kernel").gates(&[
+            gate("var_reduction", "variable reduction", "%", Reduction(CNF, Folded)),
+            gate("clause_reduction", "clause reduction", "%", Reduction(CNF, Folded)),
+            gate("gate_vars", "variable reduction", "%", SumReduction("aig_vars", CNF)),
+            gate("gate_clauses", "clause reduction", "%", SumReduction("aig_clauses", CNF)),
+        ]),
+        Section::new("fraig", "fraig", "fraig kernel").gates(&[
+            ratio("speedup", "fraig speedup", "x"),
+        ]),
+        Section::new("scope", "scope", "SCOPE kernel").gates(&[
+            Gate { arm: BaseHolds, ..gate("matches", "dataflow and resynthesis engines no longer \
+                produce the same key guess", "", Holds) },
+            ratio("speedup", "scope speedup", "x"),
+            gate("speedup", "scope speedup", "x", AtLeast(SCOPE_SPEEDUP_FLOOR)),
+        ]),
+        Section::new("scheduler", "scheduler", "scheduler kernel").gates(&[
+            Gate { skip: SERIAL_SCHEDULER, stop: true, ..gate("speedup",
+                "work stealing lost to the static split: makespan ratio", "x",
+                AtLeast(SCHEDULER_SPEEDUP_FLOOR)) },
+            Gate { arm: BaseParallel("workers"), skip: SERIAL_SCHEDULER,
+                ..ratio("speedup", "scheduler ratio", "x") },
+        ]),
+        Section::new("dip_aig", "dip_aig", "DIP-engine kernel").gates(&[
+            gate("var_reduction", "DIP miter variable reduction", "%", Reduction(DIP, Raised)),
+            gate("clause_reduction", "DIP miter clause reduction", "%", Reduction(DIP, Raised)),
+            ratio("aig_iters_per_sec", "AIG-engine CEGAR throughput", " iters/s"),
+        ]),
+        Section::new("rewrite", "rewrite", "rewriting kernel").gates(&[
+            gate("node_reduction", "rewrite node reduction", "%",
+                Reduction(REWRITE_REDUCTION_FLOOR, WhereBaseClears)),
+        ]),
+        Section::new("portfolio", "portfolio", "portfolio kernel").gates(&[
+            Gate { arm: BaseHolds, ..gate("verified",
+                "the race no longer produces a SAT-verified exact key", "", Holds) },
+            Gate { skip: SERIAL_RACE, ..gate("overhead",
+                "race overhead over the best solo member", "x", AtMost(PORTFOLIO_OVERHEAD_CEIL)) },
+            // Losing to the worst member means cancellation stopped paying at
+            // all; the ceiling already gates, so this is a diagnosis aid.
+            Gate { arm: CurAbove("worst_member_ms", "best_member_ms"), skip: SERIAL_RACE,
+                fatal: Fatal::Never, ..gate("portfolio_ms", "race wall", " ms",
+                NotAbove("worst_member_ms", "its worst solo member")) },
+        ]),
+        Section::new("fraig_par", "fraig_par", "parallel-fraig kernel").gates(&[
+            Gate { stop: true, ..gate("verdicts_match",
+                "parallel and sequential sweeps disagree on the verdict", "", Holds) },
+            Gate { stop: true, ..gate("merges_match",
+                "parallel and sequential sweeps disagree on merge counts", "", Holds) },
+            Gate { skip: SERIAL_SWEEP, fatal: Fatal::FullWidth("workers", FRAIG_PAR_WORKERS),
+                ..gate("speedup", "parallel sweep speedup", "x",
+                AtLeast(FRAIG_PAR_SPEEDUP_FLOOR)) },
+        ]),
+        Section::new("attacks", "attack", "attack row").required(&["attack", "host"]).gates(&[
+            // Succeeding rows finish with >10x headroom against the budget,
+            // so an outcome flip is a code regression, not noise.
+            Gate { skip: BUDGET_BOUND, stop: true, ..gate("outcome", "outcome", "", Unchanged) },
+            Gate { skip: BUDGET_BOUND, fatal: Fatal::Strict,
+                ..gate("iterations", "iterations", "", Growth) },
+            Gate { skip: BUDGET_BOUND, fatal: Fatal::Strict,
+                ..gate("oracle_queries", "oracle queries", "", Growth) },
+        ]),
+    ]
+};
 
 /// One regression found by [`compare`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1578,22 +1289,191 @@ pub struct Regression {
     pub subject: String,
     /// Human-readable description with both numbers.
     pub detail: String,
-    /// Whether the gate must fail on this entry (kernels) or the entry is
-    /// informational drift (attack telemetry on a differently-loaded host).
+    /// Whether the gate must fail on this entry, or the entry is a note
+    /// (drift on a different host, a skipped gate, a diagnosis aid).
     pub fatal: bool,
 }
 
-/// Compares `current` against `baseline` with a relative `tolerance`
-/// (0.25 = 25%). Tracked kernels gate on the packed-over-scalar speedup
-/// ratio and on the `min_speedup` floor. The kernel measurement is
-/// single-threaded, so the ratio is comparable across machines of the same
-/// `os`; only a cross-OS comparison downgrades a ratio miss to non-fatal
-/// drift (regenerate the baseline on the runner's OS to re-arm it), while
-/// the absolute `min_speedup` floor stays fatal everywhere. Attack rows
-/// gate fatally on outcome flips of non-budget-bound baseline rows (an
-/// `exact-key` row turning into an error or out-of-budget is a code
-/// regression); their numeric telemetry (iterations / oracle queries) is
-/// reported as non-fatal drift unless `strict_attacks` is set.
+/// The caller's knobs plus the host facts gates read.
+struct Run {
+    tolerance: f64,
+    min_speedup: f64,
+    strict: bool,
+    same_os: bool,
+    cpus: u64,
+}
+
+/// What one gate made of one record pair.
+enum Step {
+    Pass,
+    Note(&'static str),
+    Miss(String, bool),
+}
+
+impl Gate {
+    fn evaluate(&self, base: &Record, cur: &Record, run: &Run) -> Result<Step, String> {
+        match self.skip {
+            Skip::BudgetBound if base.text_of("outcome")? == "out-of-budget" => {
+                return Ok(Step::Pass)
+            }
+            Skip::SingleWorker(field, why) if cur.num(field)? <= 1.0 => return Ok(Step::Note(why)),
+            Skip::SingleCpu(why) if run.cpus <= 1 => return Ok(Step::Note(why)),
+            _ => {}
+        }
+        let armed = match self.arm {
+            Arm::Armed => true,
+            Arm::BaseHolds => base.get(self.metric) == Some(&Value::Bool(true)),
+            Arm::BaseParallel(field) => base.num(field)? > 1.0,
+            Arm::CurAbove(a, b) => cur.num(a)? > cur.num(b)?,
+        };
+        if !armed {
+            return Ok(Step::Pass);
+        }
+        let Some(detail) = self.miss(base, cur, run)? else {
+            return Ok(Step::Pass);
+        };
+        let (fatal, note) = match self.fatal {
+            Fatal::Always => (true, ""),
+            Fatal::Never => (false, ""),
+            Fatal::Strict => (run.strict, ""),
+            Fatal::SameOs if run.same_os => (true, ""),
+            Fatal::SameOs => (
+                false,
+                " (host differs from baseline — regenerate the baseline on this runner class \
+                 to re-arm the gate)",
+            ),
+            Fatal::FullWidth(field, width) if cur.num(field)? >= width as f64 => (true, ""),
+            Fatal::FullWidth(..) => (false, " (narrow runner: fewer CPUs than the tracked width)"),
+        };
+        Ok(Step::Miss(detail + note, fatal))
+    }
+
+    /// The failure detail when the check misses, `None` when it holds.
+    fn miss(&self, base: &Record, cur: &Record, run: &Run) -> Result<Option<String>, String> {
+        let (what, metric, tolerance) = (self.what, self.metric, run.tolerance);
+        match self.check {
+            Check::Holds => {
+                let holds = cur.get(metric) == Some(&Value::Bool(true));
+                return Ok((!holds).then(|| what.to_string()));
+            }
+            Check::Unchanged => {
+                let (b, c) = (base.text_of(metric)?, cur.text_of(metric)?);
+                return Ok((b != c).then(|| format!("{what} flipped `{b}` -> `{c}`")));
+            }
+            _ => {}
+        }
+        let c = cur.num(metric)?;
+        let limit = match self.check {
+            Check::Ratio => base.num(metric)? / (1.0 + tolerance),
+            Check::Reduction(floor, arm) => {
+                let b = base.num(metric)?;
+                let relative = b * (1.0 - tolerance);
+                match arm {
+                    FloorArm::Folded | FloorArm::Raised if b > 0.95 => floor,
+                    FloorArm::Raised => relative.max(floor),
+                    FloorArm::WhereBaseClears if b >= floor => relative.max(floor),
+                    FloorArm::Folded | FloorArm::WhereBaseClears => relative,
+                }
+            }
+            Check::Growth => (base.num(metric)? * (1.0 + tolerance)).ceil() + 2.0,
+            Check::AtLeast(limit) | Check::AtMost(limit) => limit,
+            Check::MinSpeedup => run.min_speedup,
+            Check::NotAbove(other, _) => cur.num(other)?,
+            Check::Holds | Check::Unchanged | Check::SumReduction(..) => return Ok(None),
+        };
+        let above = matches!(
+            self.check,
+            Check::Growth | Check::AtMost(_) | Check::NotAbove(..)
+        );
+        if (above && c <= limit) || (!above && c >= limit) {
+            return Ok(None);
+        }
+        let show = |v| show(v, self.unit);
+        let (c, l) = (show(c), show(limit));
+        let b = || base.num(metric).map(show).unwrap_or_default();
+        Ok(Some(match self.check {
+            Check::Ratio => format!(
+                "{what} fell {} -> {c} (floor {l} at {:.0}% tolerance)",
+                b(),
+                tolerance * 100.0
+            ),
+            Check::Reduction(..) => format!("{what} fell {} -> {c} (floor {l})", b()),
+            Check::Growth => format!("{what} grew {} -> {c} (ceiling {l})", b()),
+            Check::AtMost(_) => format!("{what} {c} is above the {l} ceiling"),
+            Check::NotAbove(_, other) => format!("{what} {c} lost to {other} {l}"),
+            _ => format!("{what} {c} is below the {l} acceptance floor"),
+        }))
+    }
+
+    /// The section-level miss of a [`Check::SumReduction`] gate over the
+    /// current records.
+    fn aggregate_miss(&self, records: &[Record]) -> Result<Option<String>, String> {
+        let Check::SumReduction(after, floor) = self.check else {
+            return Ok(None);
+        };
+        let (mut before_sum, mut after_sum) = (0.0, 0.0);
+        for record in records {
+            before_sum += record.num(self.metric)?;
+            after_sum += record.num(after)?;
+        }
+        let reduction = 1.0 - after_sum / f64::max(before_sum, 1.0);
+        let (r, l) = (show(reduction, self.unit), show(floor, self.unit));
+        let detail = format!(
+            "aggregate {} {r} is below the {l} acceptance floor",
+            self.what
+        );
+        Ok((reduction < floor).then_some(detail))
+    }
+}
+
+impl Section {
+    fn key_of(&self, record: &Record) -> String {
+        let parts: Vec<&str> = self
+            .key
+            .iter()
+            .map(|k| record.text_of(k).unwrap_or("?"))
+            .collect();
+        parts.join(" on ")
+    }
+
+    /// Every gate on one matched record pair; at most one skip note.
+    fn check_record(&self, base: &Record, cur: &Record, run: &Run, out: &mut Vec<Regression>) {
+        let subject = format!("{} {}", self.label, self.key_of(base));
+        let mut noted = false;
+        for gate in self.gates {
+            let (detail, fatal, missed) = match gate.evaluate(base, cur, run) {
+                Ok(Step::Pass) => continue,
+                Ok(Step::Note(_)) if noted => continue,
+                Ok(Step::Note(why)) => {
+                    noted = true;
+                    (
+                        format!("ran on a single worker (1 CPU) — {why}"),
+                        false,
+                        false,
+                    )
+                }
+                Ok(Step::Miss(detail, fatal)) => (detail, fatal, true),
+                Err(malformed) => (malformed, true, false),
+            };
+            let subject = subject.clone();
+            out.push(Regression {
+                subject,
+                detail,
+                fatal,
+            });
+            if missed && gate.stop {
+                break;
+            }
+        }
+    }
+}
+
+/// Compares `current` against `baseline` by walking [`SECTIONS`]: every
+/// baseline record must have a current match (a missing one is fatal), and
+/// each section's gates run on the pair in order. `tolerance` is relative
+/// (0.25 = 25%); `min_speedup` is the absolute floor of the simulation
+/// kernels; `strict_attacks` makes attack telemetry growth fatal. A record
+/// missing a field a gate reads fails that gate.
 pub fn compare(
     baseline: &BenchResults,
     current: &BenchResults,
@@ -1601,537 +1481,37 @@ pub fn compare(
     min_speedup: f64,
     strict_attacks: bool,
 ) -> Vec<Regression> {
+    let run = Run {
+        tolerance,
+        min_speedup,
+        strict: strict_attacks,
+        same_os: baseline.os == current.os,
+        cpus: current.cpus,
+    };
     let mut regressions = Vec::new();
-    let comparable_host = baseline.os == current.os;
-    for base in &baseline.kernels {
-        let subject = format!("kernel {}", base.name);
-        match current.kernels.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                let floor = base.speedup / (1.0 + tolerance);
-                if cur.speedup < floor {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "packed speedup fell {:.1}x -> {:.1}x (floor {:.1}x at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline — regenerate the baseline on this runner class to re-arm the ratio gate"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-                if cur.speedup < min_speedup {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "packed speedup {:.1}x is below the {min_speedup:.0}x acceptance floor",
-                            cur.speedup
-                        ),
-                        fatal: true,
-                    });
-                }
-            }
-        }
-    }
-    // CNF-size kernels: exact counts, so the gate is deterministic on any
-    // machine. Each record must not regress its reductions beyond the
-    // tolerance, and the *aggregate* reduction across the tracked miter set
-    // must stay above the acceptance floor.
-    for base in &baseline.cnf {
-        let subject = format!("cnf {}", base.name);
-        match current.cnf.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked CNF kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                for (metric, base_r, cur_r) in [
-                    ("variable", base.var_reduction, cur.var_reduction),
-                    ("clause", base.clause_reduction, cur.clause_reduction),
-                ] {
-                    // A near-total baseline reduction means the miter folded
-                    // structurally (the two halves hashed to one graph — the
-                    // c6288 case): the record measures structural identity,
-                    // not encoder quality, and a *better* resynthesis
-                    // scrambler would legitimately lower it. Such records
-                    // gate only on the absolute acceptance floor.
-                    let floor = if base_r > 0.95 {
-                        CNF_REDUCTION_FLOOR
-                    } else {
-                        base_r * (1.0 - tolerance)
-                    };
-                    if cur_r < floor {
-                        regressions.push(Regression {
-                            subject: subject.clone(),
-                            detail: format!(
-                                "{metric} reduction fell {:.1}% -> {:.1}% (floor {:.1}%)",
-                                base_r * 100.0,
-                                cur_r * 100.0,
-                                floor * 100.0
-                            ),
-                            fatal: true,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if !baseline.cnf.is_empty() && !current.cnf.is_empty() {
-        let sum = |records: &[CnfRecord], f: fn(&CnfRecord) -> u64| -> f64 {
-            records.iter().map(f).sum::<u64>() as f64
-        };
-        for (metric, gate, aig) in [
-            (
-                "variable",
-                sum(&current.cnf, |k| k.gate_vars),
-                sum(&current.cnf, |k| k.aig_vars),
-            ),
-            (
-                "clause",
-                sum(&current.cnf, |k| k.gate_clauses),
-                sum(&current.cnf, |k| k.aig_clauses),
-            ),
-        ] {
-            let reduction = 1.0 - aig / gate.max(1.0);
-            if reduction < CNF_REDUCTION_FLOOR {
-                regressions.push(Regression {
-                    subject: "cnf aggregate".to_string(),
-                    detail: format!(
-                        "aggregate {metric} reduction {:.1}% is below the {:.0}% acceptance floor",
-                        reduction * 100.0,
-                        CNF_REDUCTION_FLOOR * 100.0
-                    ),
+    let pairs = baseline.sections.iter().zip(&current.sections);
+    for (section, (bases, curs)) in SECTIONS.iter().zip(pairs) {
+        for base in bases {
+            let same_key = |cur: &&Record| section.key.iter().all(|k| cur.get(k) == base.get(k));
+            match curs.iter().find(same_key) {
+                Some(cur) => section.check_record(base, cur, &run, &mut regressions),
+                None => regressions.push(Regression {
+                    subject: format!("{} {}", section.label, section.key_of(base)),
+                    detail: format!("tracked {} missing from current results", section.noun),
                     fatal: true,
-                });
+                }),
             }
         }
-    }
-    // Fraig-equivalence kernels: gate on the speedup ratio like the
-    // simulation kernels (fatal on a same-OS host, drift otherwise).
-    for base in &baseline.fraig {
-        let subject = format!("fraig {}", base.name);
-        match current.fraig.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked fraig kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                let floor = base.speedup / (1.0 + tolerance);
-                if cur.speedup < floor {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "fraig speedup fell {:.2}x -> {:.2}x (floor {:.2}x at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-            }
+        if bases.is_empty() || curs.is_empty() {
+            continue;
         }
-    }
-    // SCOPE feature kernels: the speedup ratio gates like the fraig kernels
-    // (fatal on a same-OS host, drift otherwise) on top of an absolute
-    // acceptance floor, and the engines agreeing is a correctness property —
-    // a baseline `matches` flipping to false is always fatal.
-    for base in &baseline.scope {
-        let subject = format!("scope {}", base.name);
-        match current.scope.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked SCOPE kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                if base.matches && !cur.matches {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: "dataflow and resynthesis engines no longer produce the same \
-                                 key guess"
-                            .to_string(),
-                        fatal: true,
-                    });
-                }
-                let floor = base.speedup / (1.0 + tolerance);
-                if cur.speedup < floor {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "scope speedup fell {:.1}x -> {:.1}x (floor {:.1}x at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-                if cur.speedup < SCOPE_SPEEDUP_FLOOR {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "scope speedup {:.1}x is below the {SCOPE_SPEEDUP_FLOOR:.0}x \
-                             acceptance floor",
-                            cur.speedup
-                        ),
-                        fatal: true,
-                    });
-                }
-            }
-        }
-    }
-    // Scheduler kernel: both makespans come from the same process on the
-    // same machine, so the work-stealing-over-static ratio is
-    // machine-portable. The absolute acceptance floor (work stealing must
-    // not lose to the static split beyond the noise margin) is fatal
-    // everywhere; the baseline-relative ratio gates like the other timing
-    // kernels (fatal on a same-OS host, drift otherwise).
-    for base in &baseline.scheduler {
-        let subject = format!("scheduler {}", base.name);
-        match current.scheduler.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked scheduler kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) if cur.workers <= 1 => {
-                // A single worker cannot steal: the ratio measures nothing
-                // but dispatch overhead, so gating it would only reward or
-                // punish noise. Record the skip so the job log says why.
+        for gate in section.gates {
+            if let Some(detail) = gate.aggregate_miss(curs).unwrap_or_else(Some) {
+                let subject = format!("{} aggregate", section.label);
                 regressions.push(Regression {
                     subject,
-                    detail: format!(
-                        "ran on a single worker (1 CPU) — the {SCHEDULER_SPEEDUP_FLOOR:.2} \
-                         static-split gate is skipped: work stealing cannot be exercised \
-                         without parallelism"
-                    ),
-                    fatal: false,
-                });
-            }
-            Some(cur) => {
-                if cur.speedup < SCHEDULER_SPEEDUP_FLOOR {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "work-stealing makespan {:.0} ms lost to the static split \
-                             {:.0} ms (ratio {:.2} is below the {SCHEDULER_SPEEDUP_FLOOR:.2} \
-                             acceptance floor)",
-                            cur.scheduled_ms, cur.static_ms, cur.speedup
-                        ),
-                        fatal: true,
-                    });
-                }
-                // A single-worker *baseline* recorded a vacuous ~1.0 ratio
-                // (no stealing happened); only the absolute floor above is
-                // meaningful against it.
-                let floor = base.speedup / (1.0 + tolerance);
-                if base.workers > 1 && cur.speedup < floor && cur.speedup >= SCHEDULER_SPEEDUP_FLOOR
-                {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "scheduler ratio fell {:.2} -> {:.2} (floor {:.2} at {:.0}% tolerance{})",
-                            base.speedup,
-                            cur.speedup,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-            }
-        }
-    }
-    // DIP-engine kernels: the encode reductions are exact counts (gate
-    // deterministically, like the CNF kernels) on top of the absolute
-    // acceptance floor; the CEGAR throughput of the AIG engine gates as a
-    // same-OS ratio like the other timing kernels.
-    for base in &baseline.dip_aig {
-        let subject = format!("dip_aig {}", base.name);
-        match current.dip_aig.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked DIP-engine kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                for (metric, base_r, cur_r) in [
-                    ("variable", base.var_reduction, cur.var_reduction),
-                    ("clause", base.clause_reduction, cur.clause_reduction),
-                ] {
-                    // As with the CNF kernels, a near-total baseline
-                    // reduction means the miter folded structurally; such
-                    // records gate only on the absolute floor.
-                    let floor = if base_r > 0.95 {
-                        DIP_ENCODE_REDUCTION_FLOOR
-                    } else {
-                        (base_r * (1.0 - tolerance)).max(DIP_ENCODE_REDUCTION_FLOOR)
-                    };
-                    if cur_r < floor {
-                        regressions.push(Regression {
-                            subject: subject.clone(),
-                            detail: format!(
-                                "DIP miter {metric} reduction fell {:.1}% -> {:.1}% (floor {:.1}%)",
-                                base_r * 100.0,
-                                cur_r * 100.0,
-                                floor * 100.0
-                            ),
-                            fatal: true,
-                        });
-                    }
-                }
-                let floor = base.aig_iters_per_sec / (1.0 + tolerance);
-                if cur.aig_iters_per_sec < floor {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "AIG-engine CEGAR throughput fell {:.1} -> {:.1} iters/s \
-                             (floor {:.1} at {:.0}% tolerance{})",
-                            base.aig_iters_per_sec,
-                            cur.aig_iters_per_sec,
-                            floor,
-                            tolerance * 100.0,
-                            if comparable_host {
-                                ""
-                            } else {
-                                "; host differs from baseline"
-                            }
-                        ),
-                        fatal: comparable_host,
-                    });
-                }
-            }
-        }
-    }
-    // Rewriting kernels: exact node counts, so both the baseline-relative
-    // gate and the absolute floor are deterministic and fatal everywhere.
-    for base in &baseline.rewrite {
-        let subject = format!("rewrite {}", base.name);
-        match current.rewrite.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked rewriting kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                // The absolute floor only arms on hosts whose baseline clears
-                // it: c6288's multiplier array has no profitable 4-cuts, and a
-                // legitimately-zero baseline must not fail its own self-compare.
-                let floor = if base.node_reduction >= REWRITE_REDUCTION_FLOOR {
-                    (base.node_reduction * (1.0 - tolerance)).max(REWRITE_REDUCTION_FLOOR)
-                } else {
-                    base.node_reduction * (1.0 - tolerance)
-                };
-                if cur.node_reduction < floor {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "rewrite node reduction fell {:.1}% -> {:.1}% (floor {:.1}%; \
-                             {} -> {} nodes)",
-                            base.node_reduction * 100.0,
-                            cur.node_reduction * 100.0,
-                            floor * 100.0,
-                            cur.nodes_before,
-                            cur.nodes_after
-                        ),
-                        fatal: true,
-                    });
-                }
-            }
-        }
-    }
-    // Portfolio-race kernels: the race losing its verified winner is a
-    // correctness regression (fatal anywhere); the overhead ceiling over
-    // the best solo member is machine-portable (both walls come from the
-    // same process) but meaningless on a single-CPU runner where the
-    // members can only timeslice — skip it there, like the scheduler gate.
-    for base in &baseline.portfolio {
-        let subject = format!("portfolio {}", base.name);
-        match current.portfolio.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked portfolio kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                if base.verified && !cur.verified {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "the race no longer produces a SAT-verified exact key \
-                             (winner `{}`)",
-                            cur.winner
-                        ),
-                        fatal: true,
-                    });
-                }
-                if current.cpus <= 1 {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "ran on a single worker (1 CPU) — the {PORTFOLIO_OVERHEAD_CEIL:.2}x \
-                             overhead gate is skipped: racing members can only timeslice \
-                             without parallelism"
-                        ),
-                        fatal: false,
-                    });
-                    continue;
-                }
-                if cur.overhead > PORTFOLIO_OVERHEAD_CEIL {
-                    regressions.push(Regression {
-                        subject: subject.clone(),
-                        detail: format!(
-                            "race wall {:.0} ms is {:.2}x its best solo member {:.0} ms \
-                             (ceiling {PORTFOLIO_OVERHEAD_CEIL:.2}x)",
-                            cur.portfolio_ms, cur.overhead, cur.best_member_ms
-                        ),
-                        fatal: true,
-                    });
-                }
-                // Losing outright to the *worst* member means cancellation
-                // stopped paying at all; with the overhead ceiling already
-                // gating fatally, this reads as a diagnosis aid, not a
-                // second trip wire (best == worst makes it vacuous anyway).
-                if cur.portfolio_ms > cur.worst_member_ms
-                    && cur.worst_member_ms > cur.best_member_ms
-                {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "race wall {:.0} ms lost to its worst solo member {:.0} ms",
-                            cur.portfolio_ms, cur.worst_member_ms
-                        ),
-                        fatal: false,
-                    });
-                }
-            }
-        }
-    }
-    // Parallel-fraig kernels: verdict/merge agreement between the widths is
-    // a correctness property (fatal anywhere); the sweep speedup gates on
-    // the absolute floor only when the record ran at full width — a
-    // narrower sweep (CPU-starved runner) cannot reach it and is noted.
-    for base in &baseline.fraig_par {
-        let subject = format!("fraig_par {}", base.name);
-        match current.fraig_par.iter().find(|k| k.name == base.name) {
-            None => regressions.push(Regression {
-                subject,
-                detail: "tracked parallel-fraig kernel missing from current results".to_string(),
-                fatal: true,
-            }),
-            Some(cur) => {
-                if !cur.verdicts_match || !cur.merges_match {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "parallel and sequential sweeps disagree (verdicts match: {}, \
-                             merge counts match: {})",
-                            cur.verdicts_match, cur.merges_match
-                        ),
-                        fatal: true,
-                    });
-                } else if cur.workers <= 1 {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "ran on a single worker (1 CPU) — the \
-                             {FRAIG_PAR_SPEEDUP_FLOOR:.1}x gate is skipped: the sweep \
-                             cannot be widened without parallelism"
-                        ),
-                        fatal: false,
-                    });
-                } else if cur.speedup < FRAIG_PAR_SPEEDUP_FLOOR {
-                    regressions.push(Regression {
-                        subject,
-                        detail: format!(
-                            "{}-worker sweep speedup {:.2}x is below the \
-                             {FRAIG_PAR_SPEEDUP_FLOOR:.1}x acceptance floor{}",
-                            cur.workers,
-                            cur.speedup,
-                            if (cur.workers as usize) < FRAIG_PAR_WORKERS {
-                                " (narrow runner: fewer CPUs than the tracked width)"
-                            } else {
-                                ""
-                            }
-                        ),
-                        fatal: cur.workers as usize >= FRAIG_PAR_WORKERS,
-                    });
-                }
-            }
-        }
-    }
-    for base in &baseline.attacks {
-        let subject = format!("attack {} on {}", base.attack, base.host);
-        let Some(cur) = current
-            .attacks
-            .iter()
-            .find(|a| a.attack == base.attack && a.host == base.host)
-        else {
-            regressions.push(Regression {
-                subject,
-                detail: "tracked attack row missing from current results".to_string(),
-                fatal: true,
-            });
-            continue;
-        };
-        // Budget-bound baseline rows spent however many iterations the
-        // host's clock allowed — not comparable across machines (and a row
-        // that *used* to time out succeeding now is an improvement).
-        if base.outcome == "out-of-budget" {
-            continue;
-        }
-        // A non-budget-bound baseline outcome flipping (exact-key -> error
-        // or out-of-budget) is a code regression, not noise: the succeeding
-        // rows finish with >10x headroom against the budget.
-        if cur.outcome != base.outcome {
-            regressions.push(Regression {
-                subject: subject.clone(),
-                detail: format!("outcome flipped `{}` -> `{}`", base.outcome, cur.outcome),
-                fatal: true,
-            });
-            continue;
-        }
-        for (metric, base_n, cur_n) in [
-            ("iterations", base.iterations, cur.iterations),
-            ("oracle queries", base.oracle_queries, cur.oracle_queries),
-        ] {
-            let ceiling = (base_n as f64 * (1.0 + tolerance)).ceil() as u64 + 2;
-            if cur_n > ceiling {
-                regressions.push(Regression {
-                    subject: subject.clone(),
-                    detail: format!("{metric} grew {base_n} -> {cur_n} (ceiling {ceiling})"),
-                    fatal: strict_attacks,
+                    detail,
+                    fatal: true,
                 });
             }
         }
@@ -2139,348 +1519,50 @@ pub fn compare(
     regressions
 }
 
-fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// A minimal JSON reader for the subset [`BenchResults::to_json`] emits
-/// (objects, arrays, strings with basic escapes, numbers and booleans — no
-/// nulls).
-mod json {
-    use std::collections::HashMap;
-
-    #[derive(Debug, Clone)]
-    pub enum Value {
-        Object(HashMap<String, Value>),
-        Array(Vec<Value>),
-        String(String),
-        Number(f64),
-        Bool(bool),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Result<&HashMap<String, Value>, String> {
-            match self {
-                Value::Object(map) => Ok(map),
-                other => Err(format!("expected an object, found {other:?}")),
-            }
-        }
-
-        pub fn as_array(&self) -> Result<&Vec<Value>, String> {
-            match self {
-                Value::Array(items) => Ok(items),
-                other => Err(format!("expected an array, found {other:?}")),
-            }
-        }
-
-        pub fn as_str(&self) -> Result<String, String> {
-            match self {
-                Value::String(s) => Ok(s.clone()),
-                other => Err(format!("expected a string, found {other:?}")),
-            }
-        }
-
-        pub fn as_number(&self) -> Result<f64, String> {
-            match self {
-                Value::Number(n) => Ok(*n),
-                other => Err(format!("expected a number, found {other:?}")),
-            }
-        }
-
-        pub fn as_bool(&self) -> Result<bool, String> {
-            match self {
-                Value::Bool(b) => Ok(*b),
-                other => Err(format!("expected a boolean, found {other:?}")),
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut position = 0usize;
-        let value = parse_value(bytes, &mut position)?;
-        skip_whitespace(bytes, &mut position);
-        if position != bytes.len() {
-            return Err(format!("trailing data at byte {position}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_whitespace(bytes: &[u8], position: &mut usize) {
-        while *position < bytes.len() && bytes[*position].is_ascii_whitespace() {
-            *position += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], position: &mut usize, byte: u8) -> Result<(), String> {
-        skip_whitespace(bytes, position);
-        if bytes.get(*position) == Some(&byte) {
-            *position += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {position}",
-                char::from(byte)
-            ))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], position: &mut usize) -> Result<Value, String> {
-        skip_whitespace(bytes, position);
-        match bytes.get(*position) {
-            Some(b'{') => parse_object(bytes, position),
-            Some(b'[') => parse_array(bytes, position),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, position)?)),
-            Some(b't') | Some(b'f') => parse_bool(bytes, position),
-            Some(_) => parse_number(bytes, position),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_bool(bytes: &[u8], position: &mut usize) -> Result<Value, String> {
-        for (literal, value) in [("true", true), ("false", false)] {
-            if bytes[*position..].starts_with(literal.as_bytes()) {
-                *position += literal.len();
-                return Ok(Value::Bool(value));
-            }
-        }
-        Err(format!("expected `true` or `false` at byte {position}"))
-    }
-
-    fn parse_object(bytes: &[u8], position: &mut usize) -> Result<Value, String> {
-        expect(bytes, position, b'{')?;
-        let mut map = HashMap::new();
-        skip_whitespace(bytes, position);
-        if bytes.get(*position) == Some(&b'}') {
-            *position += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_whitespace(bytes, position);
-            let key = parse_string(bytes, position)?;
-            expect(bytes, position, b':')?;
-            let value = parse_value(bytes, position)?;
-            map.insert(key, value);
-            skip_whitespace(bytes, position);
-            match bytes.get(*position) {
-                Some(b',') => *position += 1,
-                Some(b'}') => {
-                    *position += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {position}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], position: &mut usize) -> Result<Value, String> {
-        expect(bytes, position, b'[')?;
-        let mut items = Vec::new();
-        skip_whitespace(bytes, position);
-        if bytes.get(*position) == Some(&b']') {
-            *position += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, position)?);
-            skip_whitespace(bytes, position);
-            match bytes.get(*position) {
-                Some(b',') => *position += 1,
-                Some(b']') => {
-                    *position += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {position}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], position: &mut usize) -> Result<String, String> {
-        expect(bytes, position, b'"')?;
-        // Accumulate raw bytes; multi-byte UTF-8 sequences pass through
-        // verbatim and are validated once at the end.
-        let mut out: Vec<u8> = Vec::new();
-        while let Some(&byte) = bytes.get(*position) {
-            *position += 1;
-            match byte {
-                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
-                b'\\' => {
-                    let escape = bytes.get(*position).ok_or("unterminated escape sequence")?;
-                    *position += 1;
-                    match escape {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b't' => out.push(b'\t'),
-                        b'r' => out.push(b'\r'),
-                        b'u' => {
-                            let hex = bytes
-                                .get(*position..*position + 4)
-                                .ok_or("truncated \\u escape")?;
-                            *position += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            let mut buffer = [0u8; 4];
-                            out.extend_from_slice(
-                                char::from_u32(code)
-                                    .unwrap_or('\u{fffd}')
-                                    .encode_utf8(&mut buffer)
-                                    .as_bytes(),
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", char::from(*other))),
-                    }
-                }
-                byte => out.push(byte),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_number(bytes: &[u8], position: &mut usize) -> Result<Value, String> {
-        let start = *position;
-        while let Some(&byte) = bytes.get(*position) {
-            if byte.is_ascii_digit() || matches!(byte, b'-' | b'+' | b'.' | b'e' | b'E') {
-                *position += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&bytes[start..*position])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Value::Number)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kratt_netlist::json::Value::{Bool, Int, Real, String as Text};
+
+    /// One record per section, in the `BENCH_*.json` layout.
+    const SAMPLE: &str = r#"{
+  "schema": 6, "os": "linux", "cpus": 8, "scale": 0.05, "budget_secs": 2.0,
+  "kernels": [{"name": "sim_sweep64_c6288", "scalar_ms": 3.2, "packed_ms": 0.1, "speedup": 32.0}],
+  "cnf": [{"name": "cnf_miter_c6288", "gate_vars": 10000, "gate_clauses": 30000,
+    "aig_vars": 5000, "aig_clauses": 18000, "var_reduction": 0.5, "clause_reduction": 0.4}],
+  "fraig": [{"name": "fraig_eqv_c6288", "gate_level_ms": 900.0, "fraig_ms": 300.0,
+    "speedup": 3.0, "sat_calls": 120, "proved_merges": 80}],
+  "scope": [{"name": "scope_aig_c2670", "key_bits": 16, "resynth_ms": 800.0, "aig_ms": 40.0,
+    "speedup": 20.0, "matches": true}],
+  "scheduler": [{"name": "scheduler_matrix", "jobs": 24, "workers": 8, "steals": 5,
+    "static_ms": 1200.0, "scheduled_ms": 1000.0, "speedup": 1.2, "mean_queue_wait_ms": 35.0}],
+  "dip_aig": [{"name": "dip_aig_c2670", "key_bits": 16, "gate_vars": 4000, "gate_clauses": 12000,
+    "aig_vars": 1500, "aig_clauses": 6000, "var_reduction": 0.625, "clause_reduction": 0.5,
+    "gate_iters_per_sec": 60.0, "aig_iters_per_sec": 100.0}],
+  "rewrite": [{"name": "rewrite_c2670", "nodes_before": 1000, "nodes_after": 900,
+    "levels_before": 30, "levels_after": 28, "node_reduction": 0.1}],
+  "portfolio": [{"name": "portfolio_c2670_sarlock", "members": ["kratt", "sat", "appsat"],
+    "winner": "kratt", "verified": true, "portfolio_ms": 220.0, "best_member_ms": 200.0,
+    "worst_member_ms": 1800.0, "overhead": 1.1}],
+  "fraig_par": [{"name": "fraig_par_c5315", "workers": 4, "seq_sweep_ms": 400.0,
+    "par_sweep_ms": 160.0, "speedup": 2.5, "verdicts_match": true, "merges_match": true}],
+  "attacks": [{"attack": "sat", "host": "c2670/RLL \"quoted\"", "outcome": "exact-key",
+    "wall_ms": 41.5, "iterations": 12, "oracle_queries": 12}]
+}"#;
 
     fn sample_results() -> BenchResults {
-        BenchResults {
-            schema: 6,
-            os: "linux".to_string(),
-            cpus: 8,
-            scale: 0.05,
-            budget_secs: 2.0,
-            kernels: vec![KernelRecord {
-                name: "sim_sweep64_c6288".to_string(),
-                scalar_ms: 3.2,
-                packed_ms: 0.1,
-                speedup: 32.0,
-            }],
-            cnf: vec![CnfRecord {
-                name: "cnf_miter_c6288".to_string(),
-                gate_vars: 10_000,
-                gate_clauses: 30_000,
-                aig_vars: 5_000,
-                aig_clauses: 18_000,
-                var_reduction: 0.5,
-                clause_reduction: 0.4,
-            }],
-            fraig: vec![FraigRecord {
-                name: "fraig_eqv_c6288".to_string(),
-                gate_level_ms: 900.0,
-                fraig_ms: 300.0,
-                speedup: 3.0,
-                sat_calls: 120,
-                proved_merges: 80,
-            }],
-            scope: vec![ScopeRecord {
-                name: "scope_aig_c2670".to_string(),
-                key_bits: 16,
-                resynth_ms: 800.0,
-                aig_ms: 40.0,
-                speedup: 20.0,
-                matches: true,
-            }],
-            scheduler: vec![SchedulerRecord {
-                name: "scheduler_matrix".to_string(),
-                jobs: 24,
-                workers: 8,
-                steals: 5,
-                static_ms: 1200.0,
-                scheduled_ms: 1000.0,
-                speedup: 1.2,
-                mean_queue_wait_ms: 35.0,
-            }],
-            dip_aig: vec![DipAigRecord {
-                name: "dip_aig_c2670".to_string(),
-                key_bits: 16,
-                gate_vars: 4_000,
-                gate_clauses: 12_000,
-                aig_vars: 1_500,
-                aig_clauses: 6_000,
-                var_reduction: 0.625,
-                clause_reduction: 0.5,
-                gate_iters_per_sec: 60.0,
-                aig_iters_per_sec: 100.0,
-            }],
-            rewrite: vec![RewriteRecord {
-                name: "rewrite_c2670".to_string(),
-                nodes_before: 1_000,
-                nodes_after: 900,
-                levels_before: 30,
-                levels_after: 28,
-                node_reduction: 0.1,
-            }],
-            portfolio: vec![PortfolioRecord {
-                name: "portfolio_c2670_sarlock".to_string(),
-                members: vec!["kratt".to_string(), "sat".to_string(), "appsat".to_string()],
-                winner: "kratt".to_string(),
-                verified: true,
-                portfolio_ms: 220.0,
-                best_member_ms: 200.0,
-                worst_member_ms: 1800.0,
-                overhead: 1.1,
-            }],
-            fraig_par: vec![FraigParRecord {
-                name: "fraig_par_c5315".to_string(),
-                workers: 4,
-                seq_sweep_ms: 400.0,
-                par_sweep_ms: 160.0,
-                speedup: 2.5,
-                verdicts_match: true,
-                merges_match: true,
-            }],
-            attacks: vec![AttackRecord {
-                attack: "sat".to_string(),
-                host: "c2670/RLL \"quoted\"".to_string(),
-                outcome: "exact-key".to_string(),
-                wall_ms: 41.5,
-                iterations: 12,
-                oracle_queries: 12,
-            }],
-        }
+        BenchResults::from_json(SAMPLE).unwrap()
+    }
+
+    /// Sets `field` of the first record of `section`.
+    fn set(results: &mut BenchResults, section: &str, field: &str, value: Value) {
+        let record = &mut results.sections[section_index(section)][0];
+        let slot = record.0.iter_mut().find(|(name, _)| name == field);
+        slot.expect("a sample field").1 = value;
+    }
+
+    fn clear(results: &mut BenchResults, section: &str) {
+        results.sections[section_index(section)].clear();
     }
 
     #[test]
@@ -2489,16 +1571,16 @@ mod tests {
         let parsed = BenchResults::from_json(&results.to_json()).unwrap();
         assert_eq!(parsed.schema, 6);
         assert_eq!(parsed.cpus, 8);
-        assert_eq!(parsed.kernels, results.kernels);
-        assert_eq!(parsed.cnf, results.cnf);
-        assert_eq!(parsed.fraig, results.fraig);
-        assert_eq!(parsed.scope, results.scope);
-        assert_eq!(parsed.scheduler, results.scheduler);
-        assert_eq!(parsed.dip_aig, results.dip_aig);
-        assert_eq!(parsed.rewrite, results.rewrite);
-        assert_eq!(parsed.portfolio, results.portfolio);
-        assert_eq!(parsed.fraig_par, results.fraig_par);
-        assert_eq!(parsed.attacks, results.attacks);
+        assert_eq!(parsed.section("kernels"), results.section("kernels"));
+        assert_eq!(parsed.section("cnf"), results.section("cnf"));
+        assert_eq!(parsed.section("fraig"), results.section("fraig"));
+        assert_eq!(parsed.section("scope"), results.section("scope"));
+        assert_eq!(parsed.section("scheduler"), results.section("scheduler"));
+        assert_eq!(parsed.section("dip_aig"), results.section("dip_aig"));
+        assert_eq!(parsed.section("rewrite"), results.section("rewrite"));
+        assert_eq!(parsed.section("portfolio"), results.section("portfolio"));
+        assert_eq!(parsed.section("fraig_par"), results.section("fraig_par"));
+        assert_eq!(parsed.section("attacks"), results.section("attacks"));
     }
 
     #[test]
@@ -2513,14 +1595,14 @@ mod tests {
   "attacks": []
 }"#;
         let parsed = BenchResults::from_json(legacy).unwrap();
-        assert!(parsed.cnf.is_empty());
-        assert!(parsed.fraig.is_empty());
-        assert!(parsed.scope.is_empty());
-        assert!(parsed.scheduler.is_empty());
-        assert!(parsed.dip_aig.is_empty());
-        assert!(parsed.rewrite.is_empty());
-        assert!(parsed.portfolio.is_empty());
-        assert!(parsed.fraig_par.is_empty());
+        assert!(parsed.section("cnf").is_empty());
+        assert!(parsed.section("fraig").is_empty());
+        assert!(parsed.section("scope").is_empty());
+        assert!(parsed.section("scheduler").is_empty());
+        assert!(parsed.section("dip_aig").is_empty());
+        assert!(parsed.section("rewrite").is_empty());
+        assert!(parsed.section("portfolio").is_empty());
+        assert!(parsed.section("fraig_par").is_empty());
     }
 
     #[test]
@@ -2529,8 +1611,8 @@ mod tests {
         // A 1-CPU runner cannot steal: even a ratio below the floor is a
         // non-fatal note explaining the skip, not a failure.
         let mut current = sample_results();
-        current.scheduler[0].workers = 1;
-        current.scheduler[0].speedup = 0.6;
+        set(&mut current, "scheduler", "workers", Int(1));
+        set(&mut current, "scheduler", "speedup", Real(0.6));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(!regressions[0].fatal);
@@ -2538,12 +1620,12 @@ mod tests {
         // A single-worker *baseline* record (vacuous ~1.0 ratio) disarms
         // the baseline-relative gate but not the absolute floor.
         let mut baseline = sample_results();
-        baseline.scheduler[0].workers = 1;
-        baseline.scheduler[0].speedup = 1.0;
+        set(&mut baseline, "scheduler", "workers", Int(1));
+        set(&mut baseline, "scheduler", "speedup", Real(1.0));
         let mut current = sample_results();
-        current.scheduler[0].speedup = 0.85; // below 1.0/1.25 but above 0.8
+        set(&mut current, "scheduler", "speedup", Real(0.85)); // below 1.0/1.25 but above 0.8
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
-        current.scheduler[0].speedup = 0.7;
+        set(&mut current, "scheduler", "speedup", Real(0.7));
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("lost to the static split")));
@@ -2555,7 +1637,7 @@ mod tests {
         // Losing the verified winner is a correctness regression — fatal
         // even on a single-CPU runner where the overhead gate is skipped.
         let mut current = sample_results();
-        current.portfolio[0].verified = false;
+        set(&mut current, "portfolio", "verified", Bool(false));
         current.cpus = 1;
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
@@ -2563,7 +1645,7 @@ mod tests {
 
         // Overhead above the ceiling is fatal on a parallel runner.
         let mut current = sample_results();
-        current.portfolio[0].overhead = 1.4;
+        set(&mut current, "portfolio", "overhead", Real(1.4));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal && regressions[0].detail.contains("ceiling"));
@@ -2578,15 +1660,15 @@ mod tests {
         // Losing to the worst member warns (the ceiling gate already fired
         // fatally when that can matter).
         let mut current = sample_results();
-        current.portfolio[0].portfolio_ms = 2000.0;
-        current.portfolio[0].overhead = 10.0;
+        set(&mut current, "portfolio", "portfolio_ms", Real(2000.0));
+        set(&mut current, "portfolio", "overhead", Real(10.0));
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| !r.fatal && r.detail.contains("worst solo member")));
 
         // Missing record is fatal; a clean record passes.
         let mut current = sample_results();
-        current.portfolio.clear();
+        clear(&mut current, "portfolio");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("portfolio kernel missing")));
@@ -2599,32 +1681,32 @@ mod tests {
         let baseline = sample_results();
         // The widths disagreeing is a correctness regression anywhere.
         let mut current = sample_results();
-        current.fraig_par[0].merges_match = false;
+        set(&mut current, "fraig_par", "merges_match", Bool(false));
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("disagree")));
 
         // Below the floor at full width is fatal.
         let mut current = sample_results();
-        current.fraig_par[0].speedup = 1.2;
+        set(&mut current, "fraig_par", "speedup", Real(1.2));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal && regressions[0].detail.contains("acceptance floor"));
 
         // Below the floor on a narrow (2-worker) runner is a note, and a
         // single worker skips the gate entirely.
-        current.fraig_par[0].workers = 2;
+        set(&mut current, "fraig_par", "workers", Int(2));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(!regressions[0].fatal && regressions[0].detail.contains("narrow runner"));
-        current.fraig_par[0].workers = 1;
+        set(&mut current, "fraig_par", "workers", Int(1));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(!regressions[0].fatal && regressions[0].detail.contains("single worker"));
 
         // Missing record is fatal; a clean record passes.
         let mut current = sample_results();
-        current.fraig_par.clear();
+        clear(&mut current, "fraig_par");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("parallel-fraig kernel missing")));
@@ -2638,7 +1720,7 @@ mod tests {
         // An encode-reduction collapse is fatal regardless of host (the
         // counts are exact).
         let mut current = sample_results();
-        current.dip_aig[0].var_reduction = 0.2;
+        set(&mut current, "dip_aig", "var_reduction", Real(0.2));
         current.os = "macos".to_string();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions
@@ -2648,7 +1730,7 @@ mod tests {
         // CEGAR throughput gates as a same-OS ratio like the other timing
         // kernels: fatal at home, drift across OSes.
         let mut current = sample_results();
-        current.dip_aig[0].aig_iters_per_sec = 50.0; // > 25% below 100
+        set(&mut current, "dip_aig", "aig_iters_per_sec", Real(50.0)); // > 25% below 100
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal && regressions[0].detail.contains("throughput"));
@@ -2659,13 +1741,13 @@ mod tests {
 
         // A missing record is fatal; within tolerance is clean.
         let mut current = sample_results();
-        current.dip_aig.clear();
+        clear(&mut current, "dip_aig");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("DIP-engine kernel missing")));
         let mut current = sample_results();
-        current.dip_aig[0].aig_iters_per_sec = 90.0;
-        current.dip_aig[0].var_reduction = 0.55;
+        set(&mut current, "dip_aig", "aig_iters_per_sec", Real(90.0));
+        set(&mut current, "dip_aig", "var_reduction", Real(0.55));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
 
@@ -2674,7 +1756,7 @@ mod tests {
         let baseline = sample_results();
         // Falling beyond tolerance is fatal anywhere — the counts are exact.
         let mut current = sample_results();
-        current.rewrite[0].node_reduction = 0.05; // > 25% below 0.1
+        set(&mut current, "rewrite", "node_reduction", Real(0.05)); // > 25% below 0.1
         current.os = "macos".to_string();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
@@ -2683,9 +1765,9 @@ mod tests {
         // The absolute floor catches a rewrite that stops shrinking even
         // when the baseline reduction was already tiny.
         let mut baseline = sample_results();
-        baseline.rewrite[0].node_reduction = 0.012;
+        set(&mut baseline, "rewrite", "node_reduction", Real(0.012));
         let mut current = sample_results();
-        current.rewrite[0].node_reduction = 0.0;
+        set(&mut current, "rewrite", "node_reduction", Real(0.0));
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.subject.contains("rewrite")));
@@ -2693,20 +1775,20 @@ mod tests {
         // A missing record is fatal; within tolerance is clean.
         let baseline = sample_results();
         let mut current = sample_results();
-        current.rewrite.clear();
+        clear(&mut current, "rewrite");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("rewriting kernel missing")));
         let mut current = sample_results();
-        current.rewrite[0].node_reduction = 0.09;
+        set(&mut current, "rewrite", "node_reduction", Real(0.09));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
 
         // A host whose baseline legitimately rewrites to zero gain (c6288's
         // multiplier array has no profitable 4-cuts) must pass self-compare:
         // the absolute floor only arms when the baseline itself clears it.
         let mut baseline = sample_results();
-        baseline.rewrite[0].nodes_after = baseline.rewrite[0].nodes_before;
-        baseline.rewrite[0].node_reduction = 0.0;
+        set(&mut baseline, "rewrite", "nodes_after", Int(1_000));
+        set(&mut baseline, "rewrite", "node_reduction", Real(0.0));
         let current = baseline.clone();
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
@@ -2717,7 +1799,7 @@ mod tests {
         // Losing to the static split beyond the noise margin is fatal on
         // any machine.
         let mut current = sample_results();
-        current.scheduler[0].speedup = 0.7;
+        set(&mut current, "scheduler", "speedup", Real(0.7));
         current.os = "macos".to_string();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions
@@ -2726,7 +1808,7 @@ mod tests {
         // A same-OS ratio regression above the floor gates like the other
         // timing kernels.
         let mut current = sample_results();
-        current.scheduler[0].speedup = 0.9; // > 25% below 1.2, above 0.8
+        set(&mut current, "scheduler", "speedup", Real(0.9)); // > 25% below 1.2, above 0.8
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal && regressions[0].subject.contains("scheduler"));
@@ -2737,12 +1819,12 @@ mod tests {
             .all(|r| !r.fatal));
         // Missing kernel is fatal; within tolerance is clean.
         let mut current = sample_results();
-        current.scheduler.clear();
+        clear(&mut current, "scheduler");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("scheduler kernel missing")));
         let mut current = sample_results();
-        current.scheduler[0].speedup = 1.1;
+        set(&mut current, "scheduler", "speedup", Real(1.1));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
 
@@ -2751,7 +1833,7 @@ mod tests {
         let baseline = sample_results();
         // A ratio regression beyond tolerance is fatal on the same OS.
         let mut current = sample_results();
-        current.scope[0].speedup = 12.0; // > 25% below 20x, above the 5x floor
+        set(&mut current, "scope", "speedup", Real(12.0)); // > 25% below 20x, above the 5x floor
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal && regressions[0].subject.contains("scope"));
@@ -2760,26 +1842,26 @@ mod tests {
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions.iter().all(|r| !r.fatal));
         // ...but the absolute acceptance floor stays fatal everywhere.
-        current.scope[0].speedup = 4.0;
+        set(&mut current, "scope", "speedup", Real(4.0));
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("acceptance floor")));
 
         // The engines disagreeing is a correctness regression, not noise.
         let mut current = sample_results();
-        current.scope[0].matches = false;
+        set(&mut current, "scope", "matches", Bool(false));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal && regressions[0].detail.contains("same key guess"));
 
         // A missing record is fatal; within tolerance is clean.
         let mut current = sample_results();
-        current.scope.clear();
+        clear(&mut current, "scope");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("SCOPE kernel missing")));
         let mut current = sample_results();
-        current.scope[0].speedup = 18.0;
+        set(&mut current, "scope", "speedup", Real(18.0));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
 
@@ -2788,7 +1870,7 @@ mod tests {
         let baseline = sample_results();
         let mut current = sample_results();
         // A reduction collapse is fatal regardless of host.
-        current.cnf[0].var_reduction = 0.2;
+        set(&mut current, "cnf", "var_reduction", Real(0.2));
         current.os = "macos".to_string();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions
@@ -2797,8 +1879,13 @@ mod tests {
 
         // Aggregate floor: both metrics must clear 25% across the set.
         let mut current = sample_results();
-        current.cnf[0].aig_clauses = 29_000;
-        current.cnf[0].clause_reduction = 1.0 - 29_000.0 / 30_000.0;
+        set(&mut current, "cnf", "aig_clauses", Int(29_000));
+        set(
+            &mut current,
+            "cnf",
+            "clause_reduction",
+            Real(1.0 - 29_000.0 / 30_000.0),
+        );
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions
             .iter()
@@ -2806,7 +1893,7 @@ mod tests {
 
         // Missing CNF kernel is fatal.
         let mut current = sample_results();
-        current.cnf.clear();
+        clear(&mut current, "cnf");
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.detail.contains("CNF kernel missing")));
@@ -2814,11 +1901,11 @@ mod tests {
         // A near-degenerate baseline (the miter folded structurally) gates
         // only on the absolute floor: a drop to 60% is fine, below 25% not.
         let mut baseline = sample_results();
-        baseline.cnf[0].var_reduction = 0.995;
+        set(&mut baseline, "cnf", "var_reduction", Real(0.995));
         let mut current = sample_results();
-        current.cnf[0].var_reduction = 0.6;
+        set(&mut current, "cnf", "var_reduction", Real(0.6));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
-        current.cnf[0].var_reduction = 0.2;
+        set(&mut current, "cnf", "var_reduction", Real(0.2));
         assert!(compare(&baseline, &current, 0.25, 8.0, false)
             .iter()
             .any(|r| r.fatal && r.subject.contains("cnf")));
@@ -2828,7 +1915,7 @@ mod tests {
     fn compare_gates_fraig_speedups_like_kernels() {
         let baseline = sample_results();
         let mut current = sample_results();
-        current.fraig[0].speedup = 2.0; // > 25% below 3.0x
+        set(&mut current, "fraig", "speedup", Real(2.0)); // > 25% below 3.0x
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions
             .iter()
@@ -2841,7 +1928,7 @@ mod tests {
             .any(|r| !r.fatal && r.subject.contains("fraig")));
         // Within tolerance: clean.
         let mut current = sample_results();
-        current.fraig[0].speedup = 2.7;
+        set(&mut current, "fraig", "speedup", Real(2.7));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
 
@@ -2856,14 +1943,14 @@ mod tests {
     fn compare_flags_kernel_speedup_regressions() {
         let baseline = sample_results();
         let mut current = sample_results();
-        current.kernels[0].speedup = 20.0; // > 25% below 32x
+        set(&mut current, "kernels", "speedup", Real(20.0)); // > 25% below 32x
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal);
         assert!(regressions[0].subject.contains("sim_sweep64_c6288"));
 
         // Within tolerance: clean.
-        current.kernels[0].speedup = 30.0;
+        set(&mut current, "kernels", "speedup", Real(30.0));
         assert!(compare(&baseline, &current, 0.25, 8.0, false).is_empty());
     }
 
@@ -2872,14 +1959,14 @@ mod tests {
         let baseline = sample_results();
         let mut current = sample_results();
         current.os = "macos".to_string();
-        current.kernels[0].speedup = 20.0; // ratio miss, above the 8x floor
+        set(&mut current, "kernels", "speedup", Real(20.0)); // ratio miss, above the 8x floor
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(!regressions[0].fatal, "cross-OS ratio drift must warn");
         assert!(regressions[0].detail.contains("host differs"));
 
         // The absolute floor stays fatal even across OSes.
-        current.kernels[0].speedup = 5.0;
+        set(&mut current, "kernels", "speedup", Real(5.0));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert!(regressions
             .iter()
@@ -2889,7 +1976,7 @@ mod tests {
         // kernel measurement is single-threaded).
         let mut current = sample_results();
         current.cpus = 4;
-        current.kernels[0].speedup = 20.0;
+        set(&mut current, "kernels", "speedup", Real(20.0));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal);
@@ -2899,23 +1986,33 @@ mod tests {
     fn outcome_flips_of_succeeding_rows_are_fatal() {
         let baseline = sample_results();
         let mut current = sample_results();
-        current.attacks[0].outcome = "error: no key inputs".to_string();
-        current.attacks[0].iterations = 0;
-        current.attacks[0].oracle_queries = 0;
+        set(
+            &mut current,
+            "attacks",
+            "outcome",
+            Text("error: no key inputs".into()),
+        );
+        set(&mut current, "attacks", "iterations", Int(0));
+        set(&mut current, "attacks", "oracle_queries", Int(0));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].fatal);
         assert!(regressions[0].detail.contains("outcome flipped"));
 
         // Success degrading to out-of-budget is also a flip.
-        current.attacks[0].outcome = "out-of-budget".to_string();
+        set(
+            &mut current,
+            "attacks",
+            "outcome",
+            Text("out-of-budget".into()),
+        );
         assert!(compare(&baseline, &current, 0.25, 8.0, false)[0].fatal);
     }
 
     #[test]
     fn compare_enforces_the_acceptance_floor() {
         let mut baseline = sample_results();
-        baseline.kernels[0].speedup = 6.0;
+        set(&mut baseline, "kernels", "speedup", Real(6.0));
         let current = baseline.clone();
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
@@ -2926,7 +2023,7 @@ mod tests {
     fn compare_ignores_budget_bound_rows_and_reports_drift() {
         let baseline = sample_results();
         let mut current = sample_results();
-        current.attacks[0].iterations = 100;
+        set(&mut current, "attacks", "iterations", Int(100));
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 1);
         assert!(
@@ -2939,7 +2036,12 @@ mod tests {
         // is whatever the baseline host's clock allowed, and a current run
         // that now succeeds is an improvement.
         let mut baseline = sample_results();
-        baseline.attacks[0].outcome = "out-of-budget".to_string();
+        set(
+            &mut baseline,
+            "attacks",
+            "outcome",
+            Text("out-of-budget".into()),
+        );
         let current = sample_results();
         assert!(compare(&baseline, &current, 0.25, 8.0, true).is_empty());
     }
@@ -2948,10 +2050,68 @@ mod tests {
     fn missing_entries_are_fatal() {
         let baseline = sample_results();
         let mut current = sample_results();
-        current.kernels.clear();
-        current.attacks.clear();
+        clear(&mut current, "kernels");
+        clear(&mut current, "attacks");
         let regressions = compare(&baseline, &current, 0.25, 8.0, false);
         assert_eq!(regressions.len(), 2);
         assert!(regressions.iter().all(|r| r.fatal));
+    }
+
+    #[test]
+    fn records_missing_a_gated_field_fail_the_gate() {
+        let baseline = sample_results();
+        let mut current = sample_results();
+        current.sections[section_index("fraig")][0]
+            .0
+            .retain(|(field, _)| field != "speedup");
+        let regressions = compare(&baseline, &current, 0.25, 8.0, false);
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].fatal && regressions[0].detail.contains("`speedup`"));
+        // A record value outside the record shape is a parse error.
+        let text = sample_results()
+            .to_json()
+            .replace("\"winner\": \"kratt\"", "\"winner\": null");
+        assert!(BenchResults::from_json(&text).is_err());
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_and_self_compares() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let baseline = BenchResults::from_json(text).unwrap();
+        assert_eq!(baseline.to_json(), text, "byte-identical round trip");
+        let regressions = compare(&baseline, &baseline, 0.25, 8.0, false);
+        assert!(regressions.iter().all(|r| !r.fatal), "{regressions:?}");
+        // The baseline was recorded on one CPU: exactly the five
+        // parallelism gates log why they are skipped.
+        let subjects: Vec<&str> = regressions.iter().map(|r| r.subject.as_str()).collect();
+        assert_eq!(
+            subjects,
+            [
+                "scheduler scheduler_matrix",
+                "portfolio portfolio_c2670_sarlock",
+                "portfolio portfolio_c2670_rll",
+                "fraig_par fraig_par_c2670",
+                "fraig_par fraig_par_c5315",
+            ]
+        );
+        assert!(regressions
+            .iter()
+            .all(|r| r.detail.contains("single worker")));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let deep = "[".repeat(100_000);
+        assert!(BenchResults::from_json(&deep).is_err());
+        // The campaign journal reads its lines through the same parser: a
+        // deep line is a malformed line, skipped like a torn one.
+        let path = std::env::temp_dir().join(format!(
+            "kratt-bench-deep-journal-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, format!("{deep}\n")).unwrap();
+        let journal = kratt_attacks::CampaignJournal::open(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(journal.unwrap().is_empty());
     }
 }

@@ -4,8 +4,8 @@ use crate::campaign::run_campaign_preset;
 use crate::Table;
 use kratt::{KrattAttack, KrattConfig, ThreatOutcome};
 use kratt_attacks::{
-    key_input_names, score_guess, Attack, AttackBudget, AttackRequest, AttackRun, Budget, Harness,
-    KeyGuess, MatrixCase, Oracle, SatAttack, ScopeAttack, Verdict,
+    key_input_names, score_guess, Attack, AttackRequest, AttackRun, Budget, Harness, KeyGuess,
+    MatrixCase, Oracle, SatAttack, ScopeAttack, Verdict,
 };
 use kratt_benchmarks::hello_ctf::HelloCtfCircuit;
 use kratt_benchmarks::{table1_circuits, ItcCircuit};
@@ -335,10 +335,10 @@ pub fn run_table5(options: &ExperimentOptions) -> Table {
         "SAT",
         "KRATT-OG",
     ]);
-    let budget = AttackBudget {
+    let budget = Budget {
         time_limit: Some(options.baseline_budget),
         max_iterations: 10_000,
-        ..AttackBudget::default()
+        ..Budget::default()
     };
     for challenge in HelloCtfCircuit::ALL {
         // final_v3 is tiny and always generated at full scale.

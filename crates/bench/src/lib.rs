@@ -20,10 +20,7 @@ pub mod table;
 pub use campaign::{
     build_campaign, campaign_hosts, resynthesis_prepare, run_campaign_preset, CAMPAIGN_PRESETS,
 };
-pub use emit::{
-    AttackRecord, BenchResults, DipAigRecord, FraigParRecord, KernelRecord, PortfolioRecord,
-    Regression, RewriteRecord, SchedulerRecord, ScopeRecord,
-};
+pub use emit::{BenchResults, Record, Regression};
 pub use experiments::{
     run_attack_matrix, run_attack_matrix_observed, run_corruption_study, run_fig6, run_table1,
     run_table2, run_table3, run_table4, run_table5, run_valkyrie_sweep, ExperimentOptions,

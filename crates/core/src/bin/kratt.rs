@@ -31,6 +31,7 @@ use kratt_dataflow::{
     Unateness, UnatenessAnalysis,
 };
 use kratt_locking::{scheme_registry, SchemeSpec};
+use kratt_netlist::json::quote;
 use kratt_netlist::{bench, verilog, Aig, AigLit, Circuit};
 use kratt_qbf::qdimacs;
 use std::path::{Path, PathBuf};
@@ -408,23 +409,6 @@ fn run_lint(options: &CliOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// A JSON string literal with the two-character escapes and control-character
-/// escapes applied (net names never need more).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The display glyph of a ternary value.
 fn ternary_glyph(value: Ternary) -> &'static str {
     match value {
@@ -495,7 +479,7 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
                         .map(|((_, kname), (zero, one))| {
                             format!(
                                 "{{\"key\":{},\"zero\":\"{}\",\"one\":\"{}\"}}",
-                                json_string(kname),
+                                quote(kname),
                                 ternary_glyph(lit_value(zero, *olit)),
                                 ternary_glyph(lit_value(one, *olit))
                             )
@@ -503,7 +487,7 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
                         .collect();
                     rows.push(format!(
                         "{{\"output\":{},\"unpinned\":\"{}\",\"cofactors\":[{}]}}",
-                        json_string(oname),
+                        quote(oname),
                         ternary_glyph(free),
                         pairs.join(",")
                     ));
@@ -538,10 +522,10 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
                     .map(|(_, (_, name))| name.as_str())
                     .collect();
                 if options.json {
-                    let list: Vec<String> = names.iter().map(|n| json_string(n)).collect();
+                    let list: Vec<String> = names.iter().map(|n| quote(n)).collect();
                     rows.push(format!(
                         "{{\"output\":{},\"keys\":[{}],\"data\":{}}}",
-                        json_string(oname),
+                        quote(oname),
                         list.join(","),
                         deps.data
                     ));
@@ -576,14 +560,14 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
                         .map(|(name, class)| {
                             format!(
                                 "{{\"key\":{},\"class\":\"{}\"}}",
-                                json_string(name),
+                                quote(name),
                                 unateness_name(*class)
                             )
                         })
                         .collect();
                     rows.push(format!(
                         "{{\"output\":{},\"unateness\":[{}]}}",
-                        json_string(oname),
+                        quote(oname),
                         list.join(",")
                     ));
                 } else {
@@ -602,7 +586,7 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
                 if options.json {
                     rows.push(format!(
                         "{{\"output\":{},\"probability\":{value:e}}}",
-                        json_string(oname)
+                        quote(oname)
                     ));
                 } else {
                     println!("output `{oname}`: p(1) = {value:.3e} under uniform inputs");
@@ -623,10 +607,10 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
                         .map(|(_, (_, name))| name.as_str())
                         .collect();
                     if options.json {
-                        let list: Vec<String> = masked.iter().map(|n| json_string(n)).collect();
+                        let list: Vec<String> = masked.iter().map(|n| quote(n)).collect();
                         rows.push(format!(
                             "{{\"key\":{},\"value\":{},\"masked\":[{}]}}",
-                            json_string(kname),
+                            quote(kname),
                             u8::from(value),
                             list.join(",")
                         ));
@@ -649,7 +633,7 @@ fn run_analyze(options: &CliOptions, domain: &str) -> Result<(), String> {
         println!(
             "{{\"domain\":\"{domain}\",\"subject\":{},\"keys\":{},\"aig\":{{\"inputs\":{},\
              \"outputs\":{},\"ands\":{},\"levels\":{},\"max_fanout\":{}}},\"{field}\":[{}]}}",
-            json_string(circuit.name()),
+            quote(circuit.name()),
             keys.len(),
             stats.inputs,
             stats.outputs,

@@ -1,5 +1,6 @@
 //! Diagnostics: what a lint rule reports and how a run is rendered.
 
+use kratt_netlist::json::quote;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -180,7 +181,7 @@ impl LintReport {
         let _ = write!(
             out,
             "{{\"subject\":{},\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[",
-            json_str(&self.subject),
+            quote(&self.subject),
             self.count(Severity::Error),
             self.count(Severity::Warning),
             self.count(Severity::Info)
@@ -192,36 +193,15 @@ impl LintReport {
             let _ = write!(
                 out,
                 "{{\"rule\":{},\"severity\":{},\"location\":{},\"message\":{}}}",
-                json_str(d.rule),
-                json_str(d.severity.label()),
-                d.location.as_deref().map_or("null".into(), json_str),
-                json_str(&d.message)
+                quote(d.rule),
+                quote(d.severity.label()),
+                d.location.as_deref().map_or("null".into(), quote),
+                quote(&d.message)
             );
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 //!   propagation, cone extraction, input substitution and cone removal
 //!   ([`transform`]) — the building blocks of KRATT's *logic removal* and
 //!   *circuit modification* steps as well as of the resynthesis engine.
+//! * The suite's one JSON reader and string escaper ([`json`]), shared by
+//!   reports, journals and bench files.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ pub mod bench;
 pub mod circuit;
 pub mod error;
 pub mod gate;
+pub mod json;
 pub mod rewrite;
 mod rewrite_table;
 pub mod sim;
